@@ -84,7 +84,6 @@ def _build_parser() -> _Parser:
                          "membership in the image of the t-fold map")
     p.add_argument("--t", type=_nonneg, required=True)
     p.add_argument("--max-n", type=_positive, default=None)
-    p.add_argument("--shards", type=_positive, default=1)
 
     p = add_perm_command("preimage",
                          "canonical one-pass preimage with certificate")
@@ -381,3 +380,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:  # console entry point
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,21 +1,23 @@
-"""Brute-force enumeration over S_n with exact verification of the image
-counts of the iterated stack-sorting map.
+"""Exact images of the iterated stack-sorting map over S_n, and the
+verification suites built on them.
 
-Everything here is exact integer arithmetic.  Enumeration is the scaling
-limit: the default bound is n <= 10 (3.63M permutations); 11 and 12 are
-allowed behind an explicit `max_n` with the hard cap at 12.  Work splits
-into shards defined by fixed leading entries, enumerated in lexicographic
-order; shard results merge by set union, so counts are independent of the
-shard layout and of scheduling.
+Everything here is exact integer arithmetic.  The image engine never
+sorts all n! permutations: s(S_n) is joined from the images of smaller
+sizes through s(L n R) = s(L) s(R) n, then the single sorting pass is
+applied t-1 more times, each level deduplicated as a set of byte-packed
+permutations (one byte per entry).  The levels are tiny next to n!
+(11033 elements against 362880 at n = 9).  The default bound is n <= 10;
+11 and 12 are allowed behind an explicit `max_n` with the hard cap at 12.
+Sharding deals the top-level left value sets of s(L n R) round-robin
+into tasks; their images merge by set union, so results are independent
+of the shard layout and of scheduling.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,9 +25,11 @@ from importlib import resources
 from typing import Iterator, Sequence
 
 from .constructions import zeta
-from .errors import InvalidPermutationError, ResourceBoundError
+from .errors import (InvalidPermutationError, PreconditionError,
+                     ResourceBoundError)
 from .patterns import descent_tops_are_lr_maxima
 from .perm import Perm, identity, is_standard, tail_length
+from .stacksort import stack_sort, stack_sort_iterate
 
 DEFAULT_MAX_N = 10
 HARD_MAX_N = 12
@@ -135,7 +139,7 @@ class ImageReport:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """One executable claim checked against brute force.  `passed` holds
+    """One executable claim checked by exact enumeration.  `passed` holds
     exactly when expected == observed (and every auxiliary set-level check
     listed in `parameters` succeeded)."""
 
@@ -153,84 +157,72 @@ class VerificationReport:
         }
 
 
-def _shard_prefixes(n: int, shards: int) -> list[list[Perm]]:
-    """Deterministic work split: fix leading entries, deepening until there
-    are at least `shards` prefix blocks; block i goes to bucket i mod
-    shards.  One bucket holding the empty prefix means a full scan."""
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    depth = 0
-    blocks = 1
-    while blocks < shards and depth < n:
-        depth += 1
-        blocks *= n - depth + 1
-    prefixes = list(itertools.permutations(range(1, n + 1), depth))
-    buckets: list[list[Perm]] = [[] for _ in range(min(shards, len(prefixes)))]
-    for i, pre in enumerate(prefixes):
-        buckets[i % len(buckets)].append(pre)
-    return buckets
+def _standard_perms(n: int) -> Iterator[Perm]:
+    return itertools.permutations(range(1, n + 1))
 
 
-def _image_shard(task: tuple[int, int, list[Perm]]) -> set[bytes]:
-    """Byte-packed images of the t-fold map over all permutations of [n]
-    extending the given prefixes (one byte per entry, so n <= 16)."""
-    n, t, prefixes = task
-    ident = list(range(1, n + 1))
-    seen: set[bytes] = set()
-    add = seen.add
-    permutations = itertools.permutations
-    for prefix in prefixes:
-        rest = [v for v in ident if v not in prefix]
-        for tail in permutations(rest):
-            w: Sequence[int] = prefix + tail
-            for _ in range(t):
-                if w == ident:
-                    break
-                out: list[int] = []
-                ap = out.append
-                stack: list[int] = []
-                push = stack.append
-                pop = stack.pop
-                for x in w:
-                    while stack and stack[-1] < x:
-                        ap(pop())
-                    push(x)
-                while stack:
-                    ap(pop())
-                w = out
-            add(bytes(w))
-    return seen
+def _relabel_table(values: Sequence[int]) -> bytes:
+    """`bytes.translate` table sending i to values[i-1] for i = 1..len(values)
+    and fixing every other byte."""
+    table = bytearray(range(256))
+    table[1:len(values) + 1] = values
+    return bytes(table)
 
 
-def _image_shard_spill(task: tuple[int, int, list[Perm], str]) -> str:
-    """Like `_image_shard`, but writes the sorted packed records to a file
-    in `spill_dir` and returns its path (count-only streaming mode)."""
-    n, t, prefixes, spill_dir = task
-    codes = sorted(_image_shard((n, t, prefixes)))
-    fd, path = tempfile.mkstemp(suffix=".shard", dir=spill_dir)
-    with os.fdopen(fd, "wb") as fh:
-        for code in codes:
-            fh.write(code)
-    return path
+def _splits(k: int) -> list[tuple[int, ...]]:
+    """Every left value set L, a subset of {1..k-1}, of a permutation
+    L k R, by size and then lexicographically: the products that build
+    s(S_k) from s(L k R) = s(L) s(R) k."""
+    return [left for a in range(k)
+            for left in itertools.combinations(range(1, k), a)]
 
 
-def _read_spill(path: str, width: int) -> Iterator[bytes]:
-    with open(path, "rb") as fh:
-        while True:
-            rec = fh.read(width)
-            if not rec:
-                return
-            yield rec
+def _join(levels: list[set[bytes]], k: int,
+          splits: Sequence[tuple[int, ...]]) -> set[bytes]:
+    """The part of s(S_k) that the given left value sets reach: each member
+    of s(S_a), relabelled onto L, followed by each member of s(S_{k-1-a}),
+    relabelled onto the complement of L, then k.  `levels[j]` is s(S_j)."""
+    out: set[bytes] = set()
+    update = out.update
+    top = bytes([k])
+    for left in splits:
+        right = tuple(v for v in range(1, k) if v not in left)
+        lt, rt = _relabel_table(left), _relabel_table(right)
+        lefts = [x.translate(lt) for x in levels[len(left)]]
+        rights = [y.translate(rt) + top for y in levels[len(right)]]
+        update([x + y for x in lefts for y in rights])
+    return out
 
 
-def _merge_spill_count(paths: list[str], width: int) -> int:
-    count = 0
-    prev = None
-    for rec in heapq.merge(*(_read_spill(p, width) for p in paths)):
-        if rec != prev:
-            count += 1
-            prev = rec
-    return count
+def _sorted_levels(top: int) -> list[set[bytes]]:
+    """s(S_k) for k = 0..top, byte-packed (one byte per entry)."""
+    levels = [{b""}]
+    for k in range(1, top + 1):
+        levels.append(_join(levels, k, _splits(k)))
+    return levels
+
+
+def _image_part(task: tuple[int, int, list[tuple[int, ...]]]) -> set[bytes]:
+    """Byte-packed s^(t-1) of the part of s(S_n) that the given top-level
+    left value sets reach (t >= 1).  The union of the parts over every
+    split of `_splits(n)` is s^t(S_n)."""
+    n, t, splits = task
+    if n == 0:
+        return {b""}
+    level = _join(_sorted_levels(n - 1), n, splits)
+    ident = {bytes(range(1, n + 1))}
+    for _ in range(t - 1):
+        if level == ident:  # the identity is fixed by every pass
+            break
+        level = {bytes(stack_sort(q)) for q in level}
+    return level
+
+
+def _brute_image(n: int, t: int) -> frozenset[Perm]:
+    """s^t(S_n) from the definition: t passes over every permutation of
+    [n].  The test oracle for `image_of_iterate`; no production path
+    calls it."""
+    return frozenset(stack_sort_iterate(p, t) for p in _standard_perms(n))
 
 
 def image_of_iterate(
@@ -239,45 +231,37 @@ def image_of_iterate(
     keep_elements: bool = False,
     shards: int = 1,
     max_n: int | None = None,
-    spill: bool = False,
 ) -> ImageReport:
     """Exact image of the t-fold sorting map over all n! permutations.
 
-    `shards` splits the scan into that many independent tasks (run on a
-    process pool when more than one); the merged count never depends on the
-    split.  With `spill` set and elements not kept, shards stream sorted
-    records through temporary files instead of merging sets in memory.
+    s(S_n) is joined from the smaller images by s(L n R) = s(L) s(R) n,
+    then the sorting pass is applied t-1 more times.  `shards` deals the
+    top-level left value sets round-robin into that many tasks (run on a
+    process pool when more than one); the merged image never depends on
+    the split.
     """
     _require_within(n, max_n)
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
     start = time.perf_counter()
-    if t == 0 and not keep_elements and not spill:
-        # the 0-fold image is all of S_n; nothing to enumerate for a count
-        return ImageReport(n=n, t=t, count=math.factorial(n), elements=None,
-                           shards=shards, wall_time=time.perf_counter() - start)
-    buckets = _shard_prefixes(n, shards)
-    use_spill = spill and not keep_elements and n >= 1
-    if use_spill:
-        with tempfile.TemporaryDirectory(prefix="stacksort-spill-") as spill_dir:
-            tasks = [(n, t, b, spill_dir) for b in buckets]
-            if len(buckets) == 1:
-                paths = [_image_shard_spill(tasks[0])]
-            else:
-                with ProcessPoolExecutor(
-                        max_workers=min(len(buckets), os.cpu_count() or 1)) as pool:
-                    paths = list(pool.map(_image_shard_spill, tasks))
-            count = _merge_spill_count(paths, width=n)
-        return ImageReport(n=n, t=t, count=count, elements=None,
-                           shards=shards, wall_time=time.perf_counter() - start)
-    tasks = [(n, t, b) for b in buckets]
-    if len(buckets) == 1:
-        sets = [_image_shard(tasks[0])]
+    if t == 0:
+        # the 0-fold image is all of S_n; nothing to build for a count
+        elements = frozenset(_standard_perms(n)) if keep_elements else None
+        return ImageReport(n=n, t=t, count=math.factorial(n),
+                           elements=elements, shards=shards,
+                           wall_time=time.perf_counter() - start)
+    splits = _splits(n)
+    width = max(1, min(shards, len(splits)))
+    tasks = [(n, t, splits[i::width]) for i in range(width)]
+    if width == 1:
+        parts = [_image_part(tasks[0])]
     else:
         with ProcessPoolExecutor(
-                max_workers=min(len(buckets), os.cpu_count() or 1)) as pool:
-            sets = list(pool.map(_image_shard, tasks))
-    union: set[bytes] = set().union(*sets)
+                max_workers=min(width, os.cpu_count() or 1)) as pool:
+            parts = list(pool.map(_image_part, tasks))
+    union: set[bytes] = set().union(*parts)
     elements = frozenset(tuple(code) for code in union) if keep_elements else None
     return ImageReport(n=n, t=t, count=len(union), elements=elements,
                        shards=shards, wall_time=time.perf_counter() - start)
@@ -294,8 +278,8 @@ def characterize_membership_rule(
 
     With m = n - t: for n >= 2m-2 the tail-length/avoidance test decides
     ("thm1"); for n = 2m-3 the same test plus the zeta family decides
-    ("thm2-characterized" / "thm2-zeta"); otherwise brute force within the
-    enumeration bound ("oracle-fallback", with the exact shortcuts t = 0,
+    ("thm2-characterized" / "thm2-zeta"); otherwise the image engine within
+    the enumeration bound ("oracle-fallback", with the exact shortcuts t = 0,
     image = everything, and t >= n-1, image = the identity alone).
     """
     p = tuple(p)
@@ -340,10 +324,6 @@ def characterize_membership(p: Sequence[int], t: int,
 # ---------------------------------------------------------------------------
 # Verification suites
 
-def _standard_perms(n: int) -> Iterator[Perm]:
-    return itertools.permutations(range(1, n + 1))
-
-
 def _predicted_image(n: int, t: int) -> frozenset[Perm]:
     """The characterized set {p in S_n : tail length >= t, avoider}."""
     fixed_tail = tuple(range(n - t + 1, n + 1))
@@ -361,7 +341,8 @@ def verify_theorem1(m: int, n: int, shards: int = 1,
     """Check |image of the (n-m)-fold map over S_n| = B_m for n >= 2m-2,
     including element-by-element equality with the characterized set."""
     if m < 1 or n < m or n < 2 * m - 2:
-        raise ValueError(f"needs 1 <= m <= n and n >= 2m-2, got m={m}, n={n}")
+        raise PreconditionError(
+            f"needs 1 <= m <= n and n >= 2m-2, got m={m}, n={n}")
     report = image_of_iterate(n, n - m, keep_elements=True, shards=shards,
                               max_n=max_n)
     assert report.elements is not None
@@ -383,7 +364,7 @@ def verify_theorem2(m: int, shards: int = 1,
     family (which are precisely the image elements containing the barred
     pattern)."""
     if m < 3:
-        raise ValueError(f"needs m >= 3, got m={m}")
+        raise PreconditionError(f"needs m >= 3, got m={m}")
     n = 2 * m - 3
     report = image_of_iterate(n, m - 3, keep_elements=True, shards=shards,
                               max_n=max_n)
@@ -411,7 +392,8 @@ def verify_prop2(m: int, n_max: int, shards: int = 1,
     are the number of checks made/passed; the count chain rides along in
     parameters."""
     if m < 1 or n_max < m:
-        raise ValueError(f"needs 1 <= m <= n_max, got m={m}, n_max={n_max}")
+        raise PreconditionError(
+            f"needs 1 <= m <= n_max, got m={m}, n_max={n_max}")
     counts = [image_of_iterate(n, n - m, shards=shards, max_n=max_n).count
               for n in range(m, n_max + 1)]
     checks = 0
@@ -527,7 +509,7 @@ def explore_open(m: int, shards: int = 1,
     against a closed form.
     """
     if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+        raise PreconditionError(f"m must be positive, got {m}")
     _require_within(max(m, 2 * m - 2), max_n)
     rows = [image_of_iterate(n, n - m, shards=shards, max_n=max_n)
             for n in range(m, 2 * m - 1)]

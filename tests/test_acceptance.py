@@ -1,8 +1,8 @@
 """Acceptance suite: every exit criterion, exact, one verdict line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-lines as they pass.  The heavy entries (S_9, S_10 scans) keep the whole
-module at a few minutes of wall time.
+lines as they pass.  The heavy entries (S_9, S_10 images and scans) keep
+the whole module at seconds of wall time.
 """
 
 import time

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stacksortlab
 from stacksortlab import lab, parse_permutation
 from stacksortlab.cli import CommandPlan, UsageError, execute, parse_args, run
 from stacksortlab.lab import VerificationReport
@@ -227,6 +232,12 @@ def test_domain_error_exit_code(capsys):
     assert run(["lift", "21345", "--t", "4"]) == 2
     assert run(["bijection", "{1}{3}"]) == 2
     capsys.readouterr()
+    for argv in (["verify", "theorem1", "--m", "4", "--n", "5"],
+                 ["verify", "prop2", "--m", "5", "--n-max", "3"],
+                 ["verify", "theorem2", "--m", "2"]):
+        assert run(argv) == 2, argv
+        out, err = out_of(capsys)
+        assert out == "" and err.startswith("error: "), argv
 
 
 def test_resource_error_exit_code(capsys):
@@ -241,6 +252,7 @@ def test_usage_error_exit_code(capsys):
     assert run(["sort", "4162", "--frobnicate"]) == 1
     assert run([]) == 1
     assert run(["count-image", "--n", "4"]) == 1  # missing --t
+    assert run(["characterize", "2134", "--t", "1", "--shards", "2"]) == 1
     capsys.readouterr()
 
 
@@ -268,6 +280,16 @@ def test_bound_warning_on_stderr(capsys):
     out, err = out_of(capsys)
     assert out == "17"
     assert "warning" in err
+
+
+@pytest.mark.parametrize("module", ["stacksortlab", "stacksortlab.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(stacksortlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", module, "sort", "4162"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 4 2 6\n", "")
 
 
 def test_execute_requires_known_command():

@@ -27,6 +27,7 @@ from stacksortlab import (
     verify_west_zeilberger,
     west_zeilberger_count,
 )
+from stacksortlab.lab import _brute_image
 
 # ---------------------------------------------------------------------------
 # exact sequences
@@ -106,10 +107,21 @@ def test_image_shard_independence():
         assert report.elements == expected.elements
 
 
-def test_image_spill_mode():
-    assert image_of_iterate(5, 1, spill=True).count == 17
-    assert image_of_iterate(6, 2, spill=True, shards=4).count == 15
-    assert image_of_iterate(5, 0, spill=True).count == 120
+def test_image_matches_brute_oracle():
+    for n in range(9):
+        for t in range(n + 1):
+            expected = _brute_image(n, t)
+            for shards in (1, 3):
+                report = image_of_iterate(n, t, keep_elements=True,
+                                          shards=shards)
+                assert report.elements == expected, (n, t, shards)
+                assert report.count == len(expected), (n, t, shards)
+
+
+def test_sorted_image_sizes():
+    # |s(S_n)| for n = 0..10
+    assert [image_of_iterate(n, 1).count for n in range(11)] == [
+        1, 1, 1, 2, 5, 17, 68, 326, 1780, 11033, 76028]
 
 
 def test_image_bounds():
