@@ -5,9 +5,8 @@ from .constructions import canonical_preimage, iterated_lift, xi, zeta
 from .errors import (EmptyPermutationError, InvalidPermutationError,
                      ParseError, PreconditionError, ResourceBoundError,
                      StackSortError)
-from .lab import (BellTable, ImageReport, VerificationReport, bell,
-                  bell_numbers, catalan, characterize_membership,
-                  characterize_membership_rule, count_avoiders,
+from .lab import (ImageReport, VerificationReport, bell, bell_numbers,
+                  catalan, characterize_membership_rule, count_avoiders,
                   count_t_stack_sortable, explore_open, image_of_iterate,
                   load_bell_fixture, verify_all, verify_catalan, verify_prop2,
                   verify_theorem1, verify_theorem2, verify_thm3_count,

@@ -206,10 +206,9 @@ def _emit_records(records: list[dict], fmt: str, plain_lines: list[str]) -> None
     elif fmt == "jsonl":
         for rec in records:
             print(json.dumps(rec, sort_keys=True))
-    else:
+    elif records:  # csv; no records means no header either
         out = io.StringIO()
-        fields = list(records[0]) if records else []
-        writer = csv.DictWriter(out, fieldnames=fields)
+        writer = csv.DictWriter(out, fieldnames=list(records[0]))
         writer.writeheader()
         for rec in records:
             row = dict(rec)

@@ -56,18 +56,6 @@ def _require_within(n: int, max_n: int | None) -> None:
 # ---------------------------------------------------------------------------
 # Bell numbers
 
-@dataclass(frozen=True)
-class BellTable:
-    """Bell numbers B_0..B_k from the triangle recurrence: each row starts
-    with the previous row's last element and accumulates it leftward."""
-
-    values: tuple[int, ...]
-
-    @classmethod
-    def up_to(cls, k: int) -> "BellTable":
-        return cls(values=tuple(bell_numbers(k)))
-
-
 def bell_numbers(k: int) -> list[int]:
     """B_0..B_k by the Bell triangle, exact ints."""
     if k < 0:
@@ -315,25 +303,17 @@ def characterize_membership_rule(
     return p in report.elements, "oracle-fallback"
 
 
-def characterize_membership(p: Sequence[int], t: int,
-                            max_n: int | None = None) -> bool:
-    """Boolean-only form of `characterize_membership_rule`."""
-    return characterize_membership_rule(p, t, max_n=max_n)[0]
-
-
 # ---------------------------------------------------------------------------
 # Verification suites
 
 def _predicted_image(n: int, t: int) -> frozenset[Perm]:
-    """The characterized set {p in S_n : tail length >= t, avoider}."""
+    """The characterized set {p in S_n : tail length >= t, avoider}, built
+    as every avoider q in S_{n-t} followed by the fixed tail n-t+1..n."""
     fixed_tail = tuple(range(n - t + 1, n + 1))
-    out = set()
-    for p in _standard_perms(n):
-        if t and p[n - t:] != fixed_tail:
-            continue
-        if descent_tops_are_lr_maxima(p):
-            out.add(p)
-    return frozenset(out)
+    # appending larger increasing entries adds no descent top and keeps the
+    # earlier left-to-right maxima, so q + tail avoids exactly when q does
+    return frozenset(q + fixed_tail for q in _standard_perms(n - t)
+                     if descent_tops_are_lr_maxima(q))
 
 
 def verify_theorem1(m: int, n: int, shards: int = 1,
@@ -419,29 +399,19 @@ def count_avoiders(n: int, max_n: int | None = None) -> int:
 
 
 def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
-    """Brute-force count of p in S_n fully sorted by t passes."""
+    """Brute-force count of p in S_n fully sorted by t passes: each
+    permutation runs `stack_sort` up to t times, stopping at the identity."""
     _require_within(n, max_n)
     if t < 0:
         raise ValueError("t must be nonnegative")
     ident = identity(n)
     count = 0
     for p in _standard_perms(n):
-        w: Sequence[int] = p
+        w = p
         for _ in range(t):
             if w == ident:
                 break
-            out: list[int] = []
-            ap = out.append
-            stack: list[int] = []
-            push = stack.append
-            pop = stack.pop
-            for x in w:
-                while stack and stack[-1] < x:
-                    ap(pop())
-                push(x)
-            while stack:
-                ap(pop())
-            w = tuple(out)
+            w = stack_sort(w)
         if w == ident:
             count += 1
     return count

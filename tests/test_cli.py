@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stacksortlab
 from stacksortlab import lab, parse_permutation
@@ -215,6 +217,10 @@ def test_explore_plain_and_csv(capsys):
     assert run(["explore", "--m", "3", "--format", "csv"]) == 0
     rows = list(csv.DictReader(io.StringIO(out_of(capsys)[0])))
     assert [(r["n"], r["count"]) for r in rows] == [("3", "6"), ("4", "5")]
+    # m = 1 leaves the window empty: no records, so no lines at all
+    for fmt in ("csv", "jsonl"):
+        assert run(["explore", "--m", "1", "--format", fmt]) == 0
+        assert capsys.readouterr().out == "", fmt
 
 
 # exit codes and bounds
@@ -290,6 +296,47 @@ def test_python_dash_m_runs_the_cli(module):
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": path})
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 4 2 6\n", "")
+
+
+# each subcommand's own flags; "bogus" has none
+_FLAGS = {
+    "sort": ("--iterations", "--compact"), "trace": ("--compact",),
+    "stats": (), "characterize": ("--t", "--max-n"),
+    "preimage": ("--compact",), "lift": ("--t", "--compact"),
+    "zeta": ("--l", "--m", "--compact"), "xi": ("--l", "--m", "--compact"),
+    "bijection": ("--compact",),
+    "count-image": ("--n", "--t", "--shards", "--keep-elements", "--format",
+                    "--max-n"),
+    "verify": ("--m", "--n", "--n-max", "--shards", "--format", "--max-n"),
+    "explore": ("--m", "--shards", "--format", "--max-n"), "bogus": (),
+}
+# every other flag takes an integer in -1..6: no argv enumerates past S_6
+_VALUES = {"--compact": st.just(None), "--keep-elements": st.just(None),
+           "--format": st.sampled_from(("plain", "csv", "jsonl", "xml"))}
+_TOKENS = ("21", "4162", "35241", "2 1 3", "1 1", "0", "-1", "x", "",
+           "{1}{2,3}", "{1}{3}", "{}", "theorem1", "theorem2", "prop2",
+           "thm3_count", "catalan", "west_zeilberger", "all", "--frobnicate")
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command, *draw(st.lists(st.sampled_from(_TOKENS), max_size=1))]
+    flags = _FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True)
+                     if flags else st.just([])):
+        value = draw(_VALUES.get(flag, st.integers(-1, 6).map(str)))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_random_argv_maps_to_an_exit_code(argv, monkeypatch):
+    # --help is left out of the pool: argparse exits through SystemExit(0)
+    monkeypatch.setenv("STACKSORT_MAX_N", "6")
+    assert run(argv) in (0, 1, 2, 3), argv
 
 
 def test_execute_requires_known_command():

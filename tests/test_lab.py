@@ -4,20 +4,21 @@ import pytest
 
 from conftest import perms
 from stacksortlab import (
-    BellTable,
     InvalidPermutationError,
     ResourceBoundError,
+    avoids_barred_3241,
     bell,
     bell_numbers,
     catalan,
-    characterize_membership,
     characterize_membership_rule,
     count_avoiders,
     count_t_stack_sortable,
     explore_open,
     identity,
     image_of_iterate,
+    is_t_stack_sortable,
     load_bell_fixture,
+    tail_length,
     verify_all,
     verify_catalan,
     verify_prop2,
@@ -27,7 +28,7 @@ from stacksortlab import (
     verify_west_zeilberger,
     west_zeilberger_count,
 )
-from stacksortlab.lab import _brute_image
+from stacksortlab.lab import _brute_image, _predicted_image
 
 # ---------------------------------------------------------------------------
 # exact sequences
@@ -52,10 +53,6 @@ def test_bell_matches_binomial_recurrence():
     for n in range(14):
         assert values[n + 1] == sum(
             math.comb(n, k) * values[k] for k in range(n + 1))
-
-
-def test_bell_table():
-    assert BellTable.up_to(6).values == (1, 1, 2, 5, 15, 52, 203)
 
 
 def test_catalan_values():
@@ -149,7 +146,8 @@ def test_characterize_examples():
     assert characterize_membership_rule((2, 1, 3, 4, 5), 1) == (
         True, "thm2-characterized")
     assert characterize_membership_rule((2, 3, 1, 5, 4), 2) == (False, "thm1")
-    assert characterize_membership((1, 4, 2, 6, 3, 5), 1) in (True, False)
+    assert characterize_membership_rule((1, 4, 2, 6, 3, 5), 1)[0] in (
+        True, False)
 
 
 def test_characterize_thm1_path():
@@ -182,28 +180,29 @@ def test_characterize_matches_oracle_exhaustively():
         for t in range(n + 2):
             elements = image_of_iterate(n, t, keep_elements=True).elements
             for p in perms(n):
-                assert characterize_membership(p, t) == (p in elements), (p, t)
+                member = characterize_membership_rule(p, t)[0]
+                assert member == (p in elements), (p, t)
 
 
 def test_characterize_no_enumeration_needed_above_bound():
     # the characterized regimes answer without enumerating
-    assert characterize_membership(identity(11), 10)
-    assert characterize_membership(identity(12), 6)
+    assert characterize_membership_rule(identity(11), 10)[0]
+    assert characterize_membership_rule(identity(12), 6)[0]
     # short tail: positions 7 and 8 swapped leaves only a 4-tail
     swapped = identity(12)[:6] + (8, 7) + identity(12)[8:]
-    assert not characterize_membership(swapped, 6)
+    assert not characterize_membership_rule(swapped, 6)[0]
 
 
 def test_characterize_undecidable_over_bound():
     with pytest.raises(ResourceBoundError):
-        characterize_membership(identity(11), 2)
+        characterize_membership_rule(identity(11), 2)
 
 
 def test_characterize_input_errors():
     with pytest.raises(InvalidPermutationError):
-        characterize_membership((2, 5, 8, 4), 1)
+        characterize_membership_rule((2, 5, 8, 4), 1)
     with pytest.raises(ValueError):
-        characterize_membership((2, 1), -1)
+        characterize_membership_rule((2, 1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +254,23 @@ def test_count_t_stack_sortable_examples():
     assert count_t_stack_sortable(3, 2) == 6
     # closed form and brute force agree (the why of the 91)
     assert count_t_stack_sortable(5, 2) == west_zeilberger_count(5) == 91
+
+
+def test_count_t_stack_sortable_matches_oracle():
+    for n in range(8):
+        for t in range(n + 1):
+            expected = sum(is_t_stack_sortable(p, t) for p in perms(n))
+            assert count_t_stack_sortable(n, t) == expected, (n, t)
+
+
+def test_predicted_image_matches_definition():
+    # positional barred-pattern search, not the descent-top rule
+    for n in range(9):
+        avoiders = [(p, tail_length(p)) for p in perms(n)
+                    if avoids_barred_3241(p)]
+        for t in range(n + 1):
+            expected = {p for p, tail in avoiders if tail >= t}
+            assert _predicted_image(n, t) == expected, (n, t)
 
 
 def test_count_avoiders_small():
