@@ -1,16 +1,20 @@
-"""Exact images of the iterated stack-sorting map over S_n, and the
-verification suites built on them.
+"""Exact images of the iterated stack-sorting map over S_n, the counts of
+t-stack-sortable permutations, and the verification suites built on them.
 
-Everything here is exact integer arithmetic.  The image engine never
-sorts all n! permutations: s(S_n) is joined from the images of smaller
-sizes through s(L n R) = s(L) s(R) n, then the single sorting pass is
-applied t-1 more times, each level deduplicated as a set of byte-packed
-permutations (one byte per entry).  The levels are tiny next to n!
-(11033 elements against 362880 at n = 9).  The default bound is n <= 10;
+Everything here is exact integer arithmetic, and no engine sorts all n!
+permutations.  s(S_n) is joined from the images of smaller sizes through
+s(L n R) = s(L) s(R) n, then the single sorting pass is applied t-1 more
+times, each level deduplicated as a set of byte-packed permutations (one
+byte per entry).  The levels are tiny next to n! (11033 elements against
+362880 at n = 9).  The sortable counts run the same join with each image
+element weighted by its number of preimages (its fertility): weights
+multiply across a join and add where two preimages meet, and the count
+is the weight that reaches the identity.  The default bound is n <= 10;
 11 and 12 are allowed behind an explicit `max_n` with the hard cap at 12.
 Sharding deals the top-level left value sets of s(L n R) round-robin
-into tasks; their images merge by set union, so results are independent
-of the shard layout and of scheduling.
+into tasks, run on a process pool from n = POOL_MIN_N and in the calling
+process below it; their images merge by set union, so results are
+independent of the shard layout and of scheduling.
 """
 
 from __future__ import annotations
@@ -33,6 +37,18 @@ from .stacksort import stack_sort, stack_sort_iterate
 
 DEFAULT_MAX_N = 10
 HARD_MAX_N = 12
+# The smallest n whose sharded image runs its tasks on a process pool;
+# below it they run in the calling process.  Time of `image_of_iterate`
+# on a 2-worker pool over its time on 1 shard in-process (median of 4-5
+# alternating runs, 2-vCPU Xeon):
+#   n = 8:  3.8x (t = 1), 2.6x (t = 2)
+#   n = 9:  3.2x (t = 1), 1.6x (t = 2)
+#   n = 10: 2.4-2.7x (t = 1), 0.93-1.1x (t = 2), 0.62x (t = 3), 0.68x (t = 4)
+#   n = 11: 1.5x (t = 1), 0.63x (t = 2)
+# Below n = 10 pool start-up and shipping the parts back outweigh the
+# work at every t; at n = 10 the pool breaks even at t = 2 and wins from
+# t = 3.
+POOL_MIN_N = 10
 
 
 def _resolve_bound(max_n: int | None) -> int:
@@ -190,20 +206,56 @@ def _sorted_levels(top: int) -> list[set[bytes]]:
     return levels
 
 
-def _image_part(task: tuple[int, int, list[tuple[int, ...]]]) -> set[bytes]:
+def _fertility_levels(top: int) -> list[dict[bytes, int]]:
+    """s(S_k) for k = 0..top, each byte-packed element mapped to its
+    number of preimages in S_k (its fertility).
+
+    The join of `_join` with weights: the preimages L k R of x y k with a
+    fixed left value set pair one preimage of x with one of y, so weights
+    multiply; different left value sets give disjoint sets of preimages,
+    so their weights add where they reach the same element.
+    """
+    levels = [{b"": 1}]
+    for k in range(1, top + 1):
+        out: dict[bytes, int] = {}
+        get = out.get
+        top_byte = bytes([k])
+        for left in _splits(k):
+            right = tuple(v for v in range(1, k) if v not in left)
+            lt, rt = _relabel_table(left), _relabel_table(right)
+            rights = [(y.translate(rt) + top_byte, wy)
+                      for y, wy in levels[len(right)].items()]
+            for x, wx in levels[len(left)].items():
+                x = x.translate(lt)
+                for y, wy in rights:
+                    key = x + y
+                    out[key] = get(key, 0) + wx * wy
+        levels.append(out)
+    return levels
+
+
+def _image_part(levels: list[set[bytes]], n: int, t: int,
+                splits: Sequence[tuple[int, ...]]) -> set[bytes]:
     """Byte-packed s^(t-1) of the part of s(S_n) that the given top-level
-    left value sets reach (t >= 1).  The union of the parts over every
-    split of `_splits(n)` is s^t(S_n)."""
-    n, t, splits = task
+    left value sets reach (t >= 1), from `levels` = `_sorted_levels(n-1)`.
+    The union of the parts over every split of `_splits(n)` is s^t(S_n)."""
     if n == 0:
         return {b""}
-    level = _join(_sorted_levels(n - 1), n, splits)
+    level = _join(levels, n, splits)
     ident = {bytes(range(1, n + 1))}
     for _ in range(t - 1):
         if level == ident:  # the identity is fixed by every pass
             break
         level = {bytes(stack_sort(q)) for q in level}
     return level
+
+
+def _pooled_image_part(task: tuple[int, int, list[tuple[int, ...]]]
+                       ) -> set[bytes]:
+    """`_image_part` in a pool worker, which builds the smaller levels
+    itself."""
+    n, t, splits = task
+    return _image_part(_sorted_levels(n - 1), n, t, splits)
 
 
 def _brute_image(n: int, t: int) -> frozenset[Perm]:
@@ -224,9 +276,10 @@ def image_of_iterate(
 
     s(S_n) is joined from the smaller images by s(L n R) = s(L) s(R) n,
     then the sorting pass is applied t-1 more times.  `shards` deals the
-    top-level left value sets round-robin into that many tasks (run on a
-    process pool when more than one); the merged image never depends on
-    the split.
+    top-level left value sets round-robin into that many tasks, run on a
+    process pool when there is more than one and n >= POOL_MIN_N, and in
+    the calling process otherwise; the merged image never depends on the
+    split.
     """
     _require_within(n, max_n)
     if t < 0:
@@ -243,12 +296,13 @@ def image_of_iterate(
     splits = _splits(n)
     width = max(1, min(shards, len(splits)))
     tasks = [(n, t, splits[i::width]) for i in range(width)]
-    if width == 1:
-        parts = [_image_part(tasks[0])]
+    if width == 1 or n < POOL_MIN_N:
+        levels = _sorted_levels(n - 1)
+        parts = [_image_part(levels, *task) for task in tasks]
     else:
         with ProcessPoolExecutor(
                 max_workers=min(width, os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(_image_part, tasks))
+            parts = list(pool.map(_pooled_image_part, tasks))
     union: set[bytes] = set().union(*parts)
     elements = frozenset(tuple(code) for code in union) if keep_elements else None
     return ImageReport(n=n, t=t, count=len(union), elements=elements,
@@ -399,22 +453,28 @@ def count_avoiders(n: int, max_n: int | None = None) -> int:
 
 
 def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
-    """Brute-force count of p in S_n fully sorted by t passes: each
-    permutation runs `stack_sort` up to t times, stopping at the identity."""
+    """Count of p in S_n fully sorted by t passes, without scanning S_n.
+
+    Each element of s(S_n) carries its fertility (`_fertility_levels`);
+    t-1 more passes of `stack_sort` carry those weights along, adding them
+    where two elements meet, and the count is the weight that reaches the
+    identity.  With t = 0 only the identity itself is sorted.
+    """
     _require_within(n, max_n)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    ident = identity(n)
-    count = 0
-    for p in _standard_perms(n):
-        w = p
-        for _ in range(t):
-            if w == ident:
-                break
-            w = stack_sort(w)
-        if w == ident:
-            count += 1
-    return count
+    if t == 0:
+        return 1
+    level = _fertility_levels(n)[n]
+    for _ in range(t - 1):
+        if len(level) == 1:  # only the identity is left; every pass fixes it
+            break
+        nxt: dict[bytes, int] = {}
+        for q, w in level.items():
+            r = bytes(stack_sort(q))
+            nxt[r] = nxt.get(r, 0) + w
+        level = nxt
+    return level[bytes(range(1, n + 1))]
 
 
 def verify_thm3_count(n: int, max_n: int | None = None) -> VerificationReport:

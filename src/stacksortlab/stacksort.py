@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import InvalidPermutationError
 from .perm import Perm, format_permutation, is_increasing
 
 
@@ -14,7 +15,9 @@ def stack_sort(p: Sequence[int]) -> Perm:
 
     The next input entry is pushed whenever the stack is empty or the entry
     is smaller than the stack top; otherwise the top pops to the output.
-    Entries are distinct, so the machine never has to break a tie.
+    Entries must be distinct: an entry that meets an equal one on top of
+    the stack raises `InvalidPermutationError`, since the machine has no
+    rule to break the tie.
 
     >>> stack_sort((4, 1, 6, 2))
     (1, 4, 2, 6)
@@ -26,8 +29,8 @@ def stack_sort(p: Sequence[int]) -> Perm:
     for x in p:
         while stack and stack[-1] < x:
             out.append(stack.pop())
-        # an entry lands only on a larger one (distinctness rules out ties)
-        assert not stack or stack[-1] > x
+        if stack and stack[-1] == x:
+            raise InvalidPermutationError(f"repeated entry {x}")
         stack.append(x)
     while stack:
         out.append(stack.pop())

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from stacksortlab import (
     image_of_iterate,
     is_t_stack_sortable,
     load_bell_fixture,
+    stack_sort,
     tail_length,
     verify_all,
     verify_catalan,
@@ -28,7 +30,8 @@ from stacksortlab import (
     verify_west_zeilberger,
     west_zeilberger_count,
 )
-from stacksortlab.lab import _brute_image, _predicted_image
+from stacksortlab import lab
+from stacksortlab.lab import _brute_image, _fertility_levels, _predicted_image
 
 # ---------------------------------------------------------------------------
 # exact sequences
@@ -113,6 +116,34 @@ def test_image_matches_brute_oracle():
                                           shards=shards)
                 assert report.elements == expected, (n, t, shards)
                 assert report.count == len(expected), (n, t, shards)
+
+
+def test_image_pool_matches_single_process(monkeypatch):
+    started = []
+
+    class RecordingPool(lab.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
+    expected = image_of_iterate(10, 2, keep_elements=True, max_n=10)
+    assert not started
+    report = image_of_iterate(10, 2, shards=2, keep_elements=True, max_n=10)
+    assert len(started) == 1
+    assert report.elements == expected.elements
+    assert report.count == expected.count and report.shards == 2
+    assert image_of_iterate(10, 1, shards=2, max_n=10).count == 76028
+    assert len(started) == 2
+
+
+def test_verify_all_starts_no_pool_below_cutoff(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", refuse)
+    reports = verify_all(8, shards=2)
+    assert len(reports) == 55 and all(r.passed for r in reports)
 
 
 def test_sorted_image_sizes():
@@ -256,8 +287,17 @@ def test_count_t_stack_sortable_examples():
     assert count_t_stack_sortable(5, 2) == west_zeilberger_count(5) == 91
 
 
+def test_fertility_levels_match_brute_force():
+    levels = _fertility_levels(8)
+    for n, level in enumerate(levels):
+        assert sum(level.values()) == math.factorial(n), n
+        assert {tuple(q) for q in level} == _brute_image(n, 1), n
+        fertility = Counter(stack_sort(p) for p in perms(n))
+        assert {tuple(q): w for q, w in level.items()} == fertility, n
+
+
 def test_count_t_stack_sortable_matches_oracle():
-    for n in range(8):
+    for n in range(9):
         for t in range(n + 1):
             expected = sum(is_t_stack_sortable(p, t) for p in perms(n))
             assert count_t_stack_sortable(n, t) == expected, (n, t)

@@ -1,11 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stacksortlab
 from conftest import perms
 from stacksortlab import (
+    InvalidPermutationError,
     format_trace,
     identity,
     is_t_stack_sortable,
@@ -24,6 +30,26 @@ def test_stack_sort_examples():
     assert stack_sort((4, 1, 6, 2)) == (1, 4, 2, 6)
     assert stack_sort((5, 2, 7, 3, 6, 1, 4)) == (2, 5, 3, 1, 4, 6, 7)
     assert stack_sort(()) == ()
+
+
+def test_stack_sort_rejects_a_repeated_entry():
+    with pytest.raises(InvalidPermutationError):
+        stack_sort((2, 2, 1))
+
+
+def test_stack_sort_rejects_a_repeated_entry_under_dash_o():
+    # the check must survive `python -O`, which strips asserts
+    code = ("from stacksortlab import InvalidPermutationError, stack_sort\n"
+            "try:\n"
+            "    print(stack_sort((2, 2, 1)))\n"
+            "except InvalidPermutationError:\n"
+            "    print('rejected')\n")
+    src = str(Path(stacksortlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rejected\n", "")
 
 
 def test_recursive_examples():
