@@ -3,18 +3,22 @@ t-stack-sortable permutations, and the verification suites built on them.
 
 Everything here is exact integer arithmetic, and no engine sorts all n!
 permutations.  s(S_n) is joined from the images of smaller sizes through
-s(L n R) = s(L) s(R) n, then the single sorting pass is applied t-1 more
-times, each level deduplicated as a set of byte-packed permutations (one
-byte per entry).  The levels are tiny next to n! (11033 elements against
-362880 at n = 9).  The sortable counts run the same join with each image
-element weighted by its number of preimages (its fertility): weights
-multiply across a join and add where two preimages meet, and the count
-is the weight that reaches the identity.  The default bound is n <= 10;
-11 and 12 are allowed behind an explicit `max_n` with the hard cap at 12.
-Sharding deals the top-level left value sets of s(L n R) round-robin
-into tasks, run on a process pool from n = POOL_MIN_N and in the calling
-process below it; their images merge by set union, so results are
-independent of the shard layout and of scheduling.
+s(L n R) = s(L) s(R) n, each level deduplicated as a set of byte-packed
+permutations (one byte per entry).  s^2(S_n) is joined the same way, one
+pass further: with m = max L, s^2(L n R) = s(A') s(m B) n, where A' is
+s(L) less its final m and B = s(R), so s^2(S_n) comes from s^2 of the
+left part and the sets s(m B), and s(S_n) itself is never built for it.
+The single sorting pass is then applied t-2 more times.  The levels are
+tiny next to n! (|s(S_9)| = 11033 and |s^2(S_9)| = 1081 against 362880).
+The sortable counts run the single join with each image element weighted
+by its number of preimages (its fertility): weights multiply across a
+join and add where two preimages meet, and the count is the weight that
+reaches the identity.  The default bound is n <= 10; 11 and 12 are allowed
+behind an explicit `max_n` with the hard cap at 12.  Sharding deals the
+top-level left value sets round-robin into tasks on a process pool from
+n = POOL_MIN_N and t = POOL_MIN_T; otherwise one task runs in the calling
+process.  Parts merge by set union, so results are independent of the
+shard layout and of scheduling.
 """
 
 from __future__ import annotations
@@ -37,18 +41,22 @@ from .stacksort import stack_sort, stack_sort_iterate
 
 DEFAULT_MAX_N = 10
 HARD_MAX_N = 12
-# The smallest n whose sharded image runs its tasks on a process pool;
-# below it they run in the calling process.  Time of `image_of_iterate`
-# on a 2-worker pool over its time on 1 shard in-process (median of 4-5
-# alternating runs, 2-vCPU Xeon):
-#   n = 8:  3.8x (t = 1), 2.6x (t = 2)
-#   n = 9:  3.2x (t = 1), 1.6x (t = 2)
-#   n = 10: 2.4-2.7x (t = 1), 0.93-1.1x (t = 2), 0.62x (t = 3), 0.68x (t = 4)
-#   n = 11: 1.5x (t = 1), 0.63x (t = 2)
-# Below n = 10 pool start-up and shipping the parts back outweigh the
-# work at every t; at n = 10 the pool breaks even at t = 2 and wins from
-# t = 3.
-POOL_MIN_N = 10
+# The smallest n and the smallest t whose sharded image runs its tasks on
+# a process pool; otherwise one task runs in the calling process.  Time of
+# `image_of_iterate` on a 2-worker pool over its time on 1 shard (median of
+# 3-9 alternating runs, 2-vCPU Xeon; ranges over repeated sets):
+#   n = 10: 2.5-2.7x (t = 1), 1.5-2.0x (t = 2), 1.0-1.9x (t = 3),
+#           1.0-1.4x (t = 4), 0.9-1.0x (t = 5), 1.15x (t = 6)
+#   n = 11: 1.1-1.2x (t = 1), 1.1-1.2x (t = 2), 1.0-1.2x (t = 3),
+#           1.0-1.1x (t = 4), 1.1x (t = 5)
+#   n = 12: 0.9-1.3x (t = 2), 0.76-0.9x (t = 3), 0.8-1.0x (t = 4),
+#           1.0x (t = 5)
+# Each worker builds the smaller levels and the twice-join factors itself,
+# and they cost about as much as the top-level join that the pool divides,
+# so the pool pays only at n = 12 from t = 3.  At t = 1 every worker ships
+# its whole part of s(S_n) back.
+POOL_MIN_N = 12
+POOL_MIN_T = 3
 
 
 def _resolve_bound(max_n: int | None) -> int:
@@ -206,6 +214,72 @@ def _sorted_levels(top: int) -> list[set[bytes]]:
     return levels
 
 
+def _sorted_after(levels: list[set[bytes]]) -> list[list[set[bytes]]]:
+    """`after[j][r-1]` is the set of s(r b), b in s(S_j) relabelled onto
+    {1..j+1} minus r, for j < len(levels) and r = 1..j+1: the right-hand
+    factors of the twice join, standardized.  `levels[j]` is s(S_j).
+
+    One sort per b serves every r: r leaves the stack when the first entry
+    of b above it arrives, which is when the entries before that one are
+    flushed anyway, so s(r b) is s(b) with r put in at that entry's index.
+    """
+    after = []
+    for j, level in enumerate(levels):
+        ranks = range(1, j + 2)
+        skips = [_relabel_table([v for v in ranks if v != r]) for r in ranks]
+        heads = [bytes([r]) for r in ranks]
+        row: list[set[bytes]] = [set() for _ in ranks]
+        for b in level:
+            sorted_b = bytes(stack_sort(b))
+            i = 0
+            for r in ranks:
+                while i < j and b[i] < r:  # b[i] >= r is relabelled above r
+                    i += 1
+                x = sorted_b.translate(skips[r - 1])
+                row[r - 1].add(x[:i] + heads[r - 1] + x[i:])
+        after.append(row)
+    return after
+
+
+def _twice_join(twice: list[set[bytes]], after: list[list[set[bytes]]],
+                k: int, splits: Sequence[tuple[int, ...]]) -> set[bytes]:
+    """The part of s^2(S_k) that the given left value sets reach.
+
+    For L k R with m = max L, A = s(L) ends in m, and once the machine has
+    read A its stack holds m alone, so s^2(L k R) = s(A') s(m B) k with A'
+    = A less m and B = s(R); s(A') m is an element of s^2 of L.  So each
+    member of s^2(S_|L|) less its last entry, relabelled onto L - {m}, is
+    followed by each s(m B) (`after`), relabelled onto R + {m}, then k.
+    With L empty the element is a member of s^2(S_{k-1}) followed by k.
+    `twice[a]` is s^2(S_a) for a < k.
+    """
+    out: set[bytes] = set()
+    update = out.update
+    top = bytes([k])
+    for left in splits:
+        if not left:
+            update(x + top for x in twice[k - 1])
+            continue
+        m = left[-1]
+        rest = tuple(v for v in range(1, k) if v not in left or v == m)
+        lt, rt = _relabel_table(left[:-1]), _relabel_table(rest)
+        lefts = [x[:-1].translate(lt) for x in twice[len(left)]]
+        rights = [y.translate(rt) + top
+                  for y in after[len(rest) - 1][rest.index(m)]]
+        update([x + y for x in lefts for y in rights])
+    return out
+
+
+def _twice_sorted_levels(after: list[list[set[bytes]]],
+                         top: int) -> list[set[bytes]]:
+    """s^2(S_k) for k = 0..top, byte-packed, from `after` =
+    `_sorted_after` of s(S_j) for at least j <= top-2."""
+    twice = [{b""}]
+    for k in range(1, top + 1):
+        twice.append(_twice_join(twice, after, k, _splits(k)))
+    return twice
+
+
 def _fertility_levels(top: int) -> list[dict[bytes, int]]:
     """s(S_k) for k = 0..top, each byte-packed element mapped to its
     number of preimages in S_k (its fertility).
@@ -234,28 +308,25 @@ def _fertility_levels(top: int) -> list[dict[bytes, int]]:
     return levels
 
 
-def _image_part(levels: list[set[bytes]], n: int, t: int,
+def _image_part(n: int, t: int,
                 splits: Sequence[tuple[int, ...]]) -> set[bytes]:
-    """Byte-packed s^(t-1) of the part of s(S_n) that the given top-level
-    left value sets reach (t >= 1), from `levels` = `_sorted_levels(n-1)`.
-    The union of the parts over every split of `_splits(n)` is s^t(S_n)."""
+    """Byte-packed image under s^t (t >= 1) of the permutations L n R
+    whose top-level left value set L is among `splits`; the union over
+    every split of `_splits(n)` is s^t(S_n).  It builds the smaller levels
+    itself: t = 1 is the single join over s(S_j), j < n; t >= 2 is the
+    twice join, which needs s(S_j) only for j <= n-2, then t-2 passes."""
     if n == 0:
         return {b""}
-    level = _join(levels, n, splits)
+    if t == 1:
+        return _join(_sorted_levels(n - 1), n, splits)
+    after = _sorted_after(_sorted_levels(max(n - 2, 0)))
+    level = _twice_join(_twice_sorted_levels(after, n - 1), after, n, splits)
     ident = {bytes(range(1, n + 1))}
-    for _ in range(t - 1):
+    for _ in range(t - 2):
         if level == ident:  # the identity is fixed by every pass
             break
         level = {bytes(stack_sort(q)) for q in level}
     return level
-
-
-def _pooled_image_part(task: tuple[int, int, list[tuple[int, ...]]]
-                       ) -> set[bytes]:
-    """`_image_part` in a pool worker, which builds the smaller levels
-    itself."""
-    n, t, splits = task
-    return _image_part(_sorted_levels(n - 1), n, t, splits)
 
 
 def _brute_image(n: int, t: int) -> frozenset[Perm]:
@@ -274,12 +345,13 @@ def image_of_iterate(
 ) -> ImageReport:
     """Exact image of the t-fold sorting map over all n! permutations.
 
-    s(S_n) is joined from the smaller images by s(L n R) = s(L) s(R) n,
-    then the sorting pass is applied t-1 more times.  `shards` deals the
-    top-level left value sets round-robin into that many tasks, run on a
-    process pool when there is more than one and n >= POOL_MIN_N, and in
-    the calling process otherwise; the merged image never depends on the
-    split.
+    s(S_n) (t = 1) is joined from the smaller images by s(L n R) =
+    s(L) s(R) n; for t >= 2, s^2(S_n) is joined from the smaller s^2 and
+    s(S_j) images (`_twice_join`), then the sorting pass is applied t-2
+    more times.  `shards` deals the top-level left value sets round-robin
+    into that many tasks on a process pool when there is more than one,
+    n >= POOL_MIN_N and t >= POOL_MIN_T; otherwise the whole image is one
+    task in the calling process.  The image never depends on the split.
     """
     _require_within(n, max_n)
     if t < 0:
@@ -295,17 +367,17 @@ def image_of_iterate(
                            wall_time=time.perf_counter() - start)
     splits = _splits(n)
     width = max(1, min(shards, len(splits)))
-    tasks = [(n, t, splits[i::width]) for i in range(width)]
-    if width == 1 or n < POOL_MIN_N:
-        levels = _sorted_levels(n - 1)
-        parts = [_image_part(levels, *task) for task in tasks]
+    if width == 1 or n < POOL_MIN_N or t < POOL_MIN_T:
+        image = _image_part(n, t, splits)
     else:
         with ProcessPoolExecutor(
                 max_workers=min(width, os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(_pooled_image_part, tasks))
-    union: set[bytes] = set().union(*parts)
-    elements = frozenset(tuple(code) for code in union) if keep_elements else None
-    return ImageReport(n=n, t=t, count=len(union), elements=elements,
+            parts = pool.map(_image_part, itertools.repeat(n, width),
+                             itertools.repeat(t, width),
+                             [splits[i::width] for i in range(width)])
+            image = set().union(*parts)
+    elements = frozenset(tuple(code) for code in image) if keep_elements else None
+    return ImageReport(n=n, t=t, count=len(image), elements=elements,
                        shards=shards, wall_time=time.perf_counter() - start)
 
 

@@ -15,22 +15,22 @@ def stack_sort(p: Sequence[int]) -> Perm:
 
     The next input entry is pushed whenever the stack is empty or the entry
     is smaller than the stack top; otherwise the top pops to the output.
-    Entries must be distinct: an entry that meets an equal one on top of
-    the stack raises `InvalidPermutationError`, since the machine has no
-    rule to break the tie.
+    Entries must be distinct: a repeated entry raises
+    `InvalidPermutationError` before the pass starts, since the machine
+    has no rule to break a tie.
 
     >>> stack_sort((4, 1, 6, 2))
     (1, 4, 2, 6)
     >>> stack_sort(())
     ()
     """
+    if len(set(p)) != len(p):
+        raise InvalidPermutationError(f"repeated entry in {tuple(p)}")
     out: list[int] = []
     stack: list[int] = []
     for x in p:
         while stack and stack[-1] < x:
             out.append(stack.pop())
-        if stack and stack[-1] == x:
-            raise InvalidPermutationError(f"repeated entry {x}")
         stack.append(x)
     while stack:
         out.append(stack.pop())

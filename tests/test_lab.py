@@ -31,7 +31,9 @@ from stacksortlab import (
     west_zeilberger_count,
 )
 from stacksortlab import lab
-from stacksortlab.lab import _brute_image, _fertility_levels, _predicted_image
+from stacksortlab.lab import (_brute_image, _fertility_levels, _predicted_image,
+                              _sorted_after, _sorted_levels,
+                              _twice_sorted_levels)
 
 # ---------------------------------------------------------------------------
 # exact sequences
@@ -127,14 +129,25 @@ def test_image_pool_matches_single_process(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
-    expected = image_of_iterate(10, 2, keep_elements=True, max_n=10)
+    # the pool starts only from n = 12, where one call takes seconds
+    monkeypatch.setattr(lab, "POOL_MIN_N", 10)
+    expected = image_of_iterate(10, 3, keep_elements=True, max_n=10)
     assert not started
-    report = image_of_iterate(10, 2, shards=2, keep_elements=True, max_n=10)
+    report = image_of_iterate(10, 3, shards=2, keep_elements=True, max_n=10)
     assert len(started) == 1
     assert report.elements == expected.elements
     assert report.count == expected.count and report.shards == 2
-    assert image_of_iterate(10, 1, shards=2, max_n=10).count == 76028
-    assert len(started) == 2
+
+
+def test_image_starts_no_pool_for_one_or_two_passes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(lab, "POOL_MIN_N", 10)
+    for t, count in ((1, 76028), (2, 5718)):
+        report = image_of_iterate(10, t, shards=2, max_n=10)
+        assert (report.count, report.shards) == (count, 2), t
 
 
 def test_verify_all_starts_no_pool_below_cutoff(monkeypatch):
@@ -150,6 +163,28 @@ def test_sorted_image_sizes():
     # |s(S_n)| for n = 0..10
     assert [image_of_iterate(n, 1).count for n in range(11)] == [
         1, 1, 1, 2, 5, 17, 68, 326, 1780, 11033, 76028]
+
+
+def test_twice_sorted_image_sizes():
+    # |s^2(S_n)| for n = 0..10
+    assert [image_of_iterate(n, 2).count for n in range(11)] == [
+        1, 1, 1, 1, 2, 5, 15, 55, 228, 1081, 5718]
+
+
+def test_twice_sorted_levels_match_brute_oracle():
+    twice = _twice_sorted_levels(_sorted_after(_sorted_levels(6)), 8)
+    for k in range(9):
+        assert {tuple(x) for x in twice[k]} == _brute_image(k, 2), k
+
+
+def test_sorted_after_matches_stack_sort():
+    after = _sorted_after(_sorted_levels(7))
+    for j in range(8):
+        image = _brute_image(j, 1)
+        for r in range(1, j + 2):
+            expected = {stack_sort((r,) + tuple(v + (v >= r) for v in b))
+                        for b in image}
+            assert {tuple(y) for y in after[j][r - 1]} == expected, (j, r)
 
 
 def test_image_bounds():

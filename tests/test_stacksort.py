@@ -33,23 +33,26 @@ def test_stack_sort_examples():
 
 
 def test_stack_sort_rejects_a_repeated_entry():
-    with pytest.raises(InvalidPermutationError):
-        stack_sort((2, 2, 1))
+    for p in ((2, 2, 1), (2, 3, 2)):
+        with pytest.raises(InvalidPermutationError):
+            stack_sort(p)
 
 
 def test_stack_sort_rejects_a_repeated_entry_under_dash_o():
     # the check must survive `python -O`, which strips asserts
     code = ("from stacksortlab import InvalidPermutationError, stack_sort\n"
-            "try:\n"
-            "    print(stack_sort((2, 2, 1)))\n"
-            "except InvalidPermutationError:\n"
-            "    print('rejected')\n")
+            "for p in ((2, 2, 1), (2, 3, 2)):\n"
+            "    try:\n"
+            "        print(stack_sort(p))\n"
+            "    except InvalidPermutationError:\n"
+            "        print('rejected')\n")
     src = str(Path(stacksortlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": path})
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rejected\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "rejected\nrejected\n", "")
 
 
 def test_recursive_examples():
