@@ -14,20 +14,16 @@ The sortable counts run the single join with each image element weighted
 by its number of preimages (its fertility): weights multiply across a
 join and add where two preimages meet, and the count is the weight that
 reaches the identity.  The default bound is n <= 10; 11 and 12 are allowed
-behind an explicit `max_n` with the hard cap at 12.  Sharding deals the
-top-level left value sets round-robin into tasks on a process pool from
-n = POOL_MIN_N and t = POOL_MIN_T; otherwise one task runs in the calling
-process.  Parts merge by set union, so results are independent of the
-shard layout and of scheduling.
+behind an explicit `max_n` with the hard cap at 12.  Every image is built
+in the calling process; the `shards` arguments are validated and echoed
+in the reports but change neither the result nor how it is built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Sequence
@@ -41,22 +37,6 @@ from .stacksort import stack_sort, stack_sort_iterate
 
 DEFAULT_MAX_N = 10
 HARD_MAX_N = 12
-# The smallest n and the smallest t whose sharded image runs its tasks on
-# a process pool; otherwise one task runs in the calling process.  Time of
-# `image_of_iterate` on a 2-worker pool over its time on 1 shard (median of
-# 3-9 alternating runs, 2-vCPU Xeon; ranges over repeated sets):
-#   n = 10: 2.5-2.7x (t = 1), 1.5-2.0x (t = 2), 1.0-1.9x (t = 3),
-#           1.0-1.4x (t = 4), 0.9-1.0x (t = 5), 1.15x (t = 6)
-#   n = 11: 1.1-1.2x (t = 1), 1.1-1.2x (t = 2), 1.0-1.2x (t = 3),
-#           1.0-1.1x (t = 4), 1.1x (t = 5)
-#   n = 12: 0.9-1.3x (t = 2), 0.76-0.9x (t = 3), 0.8-1.0x (t = 4),
-#           1.0x (t = 5)
-# Each worker builds the smaller levels and the twice-join factors itself,
-# and they cost about as much as the top-level join that the pool divides,
-# so the pool pays only at n = 12 from t = 3.  At t = 1 every worker ships
-# its whole part of s(S_n) back.
-POOL_MIN_N = 12
-POOL_MIN_T = 3
 
 
 def _resolve_bound(max_n: int | None) -> int:
@@ -129,7 +109,8 @@ def west_zeilberger_count(n: int) -> int:
 class ImageReport:
     """Exact result of enumerating the image of the t-fold sorting map over
     S_n.  `elements` is retained only on request; `count` always equals the
-    deduplicated image size regardless of shard layout."""
+    deduplicated image size.  `shards` echoes the requested value, which
+    does not affect the result."""
 
     n: int
     t: int
@@ -189,15 +170,14 @@ def _splits(k: int) -> list[tuple[int, ...]]:
             for left in itertools.combinations(range(1, k), a)]
 
 
-def _join(levels: list[set[bytes]], k: int,
-          splits: Sequence[tuple[int, ...]]) -> set[bytes]:
-    """The part of s(S_k) that the given left value sets reach: each member
-    of s(S_a), relabelled onto L, followed by each member of s(S_{k-1-a}),
-    relabelled onto the complement of L, then k.  `levels[j]` is s(S_j)."""
+def _join(levels: list[set[bytes]], k: int) -> set[bytes]:
+    """s(S_k): for each left value set L, each member of s(S_a), relabelled
+    onto L, followed by each member of s(S_{k-1-a}), relabelled onto the
+    complement of L, then k.  `levels[j]` is s(S_j) for j < k."""
     out: set[bytes] = set()
     update = out.update
     top = bytes([k])
-    for left in splits:
+    for left in _splits(k):
         right = tuple(v for v in range(1, k) if v not in left)
         lt, rt = _relabel_table(left), _relabel_table(right)
         lefts = [x.translate(lt) for x in levels[len(left)]]
@@ -210,7 +190,7 @@ def _sorted_levels(top: int) -> list[set[bytes]]:
     """s(S_k) for k = 0..top, byte-packed (one byte per entry)."""
     levels = [{b""}]
     for k in range(1, top + 1):
-        levels.append(_join(levels, k, _splits(k)))
+        levels.append(_join(levels, k))
     return levels
 
 
@@ -242,8 +222,8 @@ def _sorted_after(levels: list[set[bytes]]) -> list[list[set[bytes]]]:
 
 
 def _twice_join(twice: list[set[bytes]], after: list[list[set[bytes]]],
-                k: int, splits: Sequence[tuple[int, ...]]) -> set[bytes]:
-    """The part of s^2(S_k) that the given left value sets reach.
+                k: int) -> set[bytes]:
+    """s^2(S_k), joined over the left value sets L of L k R.
 
     For L k R with m = max L, A = s(L) ends in m, and once the machine has
     read A its stack holds m alone, so s^2(L k R) = s(A') s(m B) k with A'
@@ -256,7 +236,7 @@ def _twice_join(twice: list[set[bytes]], after: list[list[set[bytes]]],
     out: set[bytes] = set()
     update = out.update
     top = bytes([k])
-    for left in splits:
+    for left in _splits(k):
         if not left:
             update(x + top for x in twice[k - 1])
             continue
@@ -276,7 +256,7 @@ def _twice_sorted_levels(after: list[list[set[bytes]]],
     `_sorted_after` of s(S_j) for at least j <= top-2."""
     twice = [{b""}]
     for k in range(1, top + 1):
-        twice.append(_twice_join(twice, after, k, _splits(k)))
+        twice.append(_twice_join(twice, after, k))
     return twice
 
 
@@ -308,19 +288,16 @@ def _fertility_levels(top: int) -> list[dict[bytes, int]]:
     return levels
 
 
-def _image_part(n: int, t: int,
-                splits: Sequence[tuple[int, ...]]) -> set[bytes]:
-    """Byte-packed image under s^t (t >= 1) of the permutations L n R
-    whose top-level left value set L is among `splits`; the union over
-    every split of `_splits(n)` is s^t(S_n).  It builds the smaller levels
-    itself: t = 1 is the single join over s(S_j), j < n; t >= 2 is the
-    twice join, which needs s(S_j) only for j <= n-2, then t-2 passes."""
+def _image(n: int, t: int) -> set[bytes]:
+    """s^t(S_n), byte-packed, for t >= 1: t = 1 is the single join over
+    s(S_j), j < n; t >= 2 is the twice join, which needs s(S_j) only for
+    j <= n-2, then t-2 passes."""
     if n == 0:
         return {b""}
     if t == 1:
-        return _join(_sorted_levels(n - 1), n, splits)
+        return _join(_sorted_levels(n - 1), n)
     after = _sorted_after(_sorted_levels(max(n - 2, 0)))
-    level = _twice_join(_twice_sorted_levels(after, n - 1), after, n, splits)
+    level = _twice_join(_twice_sorted_levels(after, n - 1), after, n)
     ident = {bytes(range(1, n + 1))}
     for _ in range(t - 2):
         if level == ident:  # the identity is fixed by every pass
@@ -348,10 +325,8 @@ def image_of_iterate(
     s(S_n) (t = 1) is joined from the smaller images by s(L n R) =
     s(L) s(R) n; for t >= 2, s^2(S_n) is joined from the smaller s^2 and
     s(S_j) images (`_twice_join`), then the sorting pass is applied t-2
-    more times.  `shards` deals the top-level left value sets round-robin
-    into that many tasks on a process pool when there is more than one,
-    n >= POOL_MIN_N and t >= POOL_MIN_T; otherwise the whole image is one
-    task in the calling process.  The image never depends on the split.
+    more times, all in the calling process.  `shards` must be >= 1; it is
+    echoed in the report and changes neither the image nor how it is built.
     """
     _require_within(n, max_n)
     if t < 0:
@@ -365,17 +340,7 @@ def image_of_iterate(
         return ImageReport(n=n, t=t, count=math.factorial(n),
                            elements=elements, shards=shards,
                            wall_time=time.perf_counter() - start)
-    splits = _splits(n)
-    width = max(1, min(shards, len(splits)))
-    if width == 1 or n < POOL_MIN_N or t < POOL_MIN_T:
-        image = _image_part(n, t, splits)
-    else:
-        with ProcessPoolExecutor(
-                max_workers=min(width, os.cpu_count() or 1)) as pool:
-            parts = pool.map(_image_part, itertools.repeat(n, width),
-                             itertools.repeat(t, width),
-                             [splits[i::width] for i in range(width)])
-            image = set().union(*parts)
+    image = _image(n, t)
     elements = frozenset(tuple(code) for code in image) if keep_elements else None
     return ImageReport(n=n, t=t, count=len(image), elements=elements,
                        shards=shards, wall_time=time.perf_counter() - start)

@@ -288,14 +288,29 @@ def test_bound_warning_on_stderr(capsys):
     assert "warning" in err
 
 
-@pytest.mark.parametrize("module", ["stacksortlab", "stacksortlab.cli"])
-def test_python_dash_m_runs_the_cli(module):
+def _env_with_src():
     src = str(Path(stacksortlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.parametrize("module", ["stacksortlab", "stacksortlab.cli"])
+def test_python_dash_m_runs_the_cli(module):
     proc = subprocess.run([sys.executable, "-m", module, "sort", "4162"],
                           capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=_env_with_src())
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 4 2 6\n", "")
+
+
+def test_cli_import_loads_no_process_machinery():
+    # every command starts a fresh interpreter, so each module the import
+    # pulls in is paid on every run
+    code = ("import sys, stacksortlab.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=_env_with_src())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 # each subcommand's own flags; "bogus" has none

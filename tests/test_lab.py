@@ -30,7 +30,6 @@ from stacksortlab import (
     verify_west_zeilberger,
     west_zeilberger_count,
 )
-from stacksortlab import lab
 from stacksortlab.lab import (_brute_image, _fertility_levels, _predicted_image,
                               _sorted_after, _sorted_levels,
                               _twice_sorted_levels)
@@ -120,41 +119,7 @@ def test_image_matches_brute_oracle():
                 assert report.count == len(expected), (n, t, shards)
 
 
-def test_image_pool_matches_single_process(monkeypatch):
-    started = []
-
-    class RecordingPool(lab.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
-    # the pool starts only from n = 12, where one call takes seconds
-    monkeypatch.setattr(lab, "POOL_MIN_N", 10)
-    expected = image_of_iterate(10, 3, keep_elements=True, max_n=10)
-    assert not started
-    report = image_of_iterate(10, 3, shards=2, keep_elements=True, max_n=10)
-    assert len(started) == 1
-    assert report.elements == expected.elements
-    assert report.count == expected.count and report.shards == 2
-
-
-def test_image_starts_no_pool_for_one_or_two_passes(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(lab, "POOL_MIN_N", 10)
-    for t, count in ((1, 76028), (2, 5718)):
-        report = image_of_iterate(10, t, shards=2, max_n=10)
-        assert (report.count, report.shards) == (count, 2), t
-
-
-def test_verify_all_starts_no_pool_below_cutoff(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", refuse)
+def test_verify_all_with_shards_passes():
     reports = verify_all(8, shards=2)
     assert len(reports) == 55 and all(r.passed for r in reports)
 
