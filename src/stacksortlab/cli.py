@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="stacksort", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_perm_command(name, help_text, **extra):
+    def add_perm_command(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("perm", nargs="+", help="one-line notation "
                        "(space-separated, or contiguous digits for n <= 9)")

@@ -2,21 +2,22 @@
 t-stack-sortable permutations, and the verification suites built on them.
 
 Everything here is exact integer arithmetic, and no engine sorts all n!
-permutations.  s(S_n) is joined from the images of smaller sizes through
-s(L n R) = s(L) s(R) n, each level deduplicated as a set of byte-packed
-permutations (one byte per entry).  s^2(S_n) is joined the same way, one
+permutations.  One engine answers both questions: every level is a dict
+mapping a byte-packed permutation (one byte per entry) to its number of
+preimages under s^t.  s(S_n) is joined from the images of smaller sizes
+through s(L n R) = s(L) s(R) n.  s^2(S_n) is joined the same way, one
 pass further: with m = max L, s^2(L n R) = s(A') s(m B) n, where A' is
 s(L) less its final m and B = s(R), so s^2(S_n) comes from s^2 of the
-left part and the sets s(m B), and s(S_n) itself is never built for it.
-The single sorting pass is then applied t-2 more times.  The levels are
-tiny next to n! (|s(S_9)| = 11033 and |s^2(S_9)| = 1081 against 362880).
-The sortable counts run the single join with each image element weighted
-by its number of preimages (its fertility): weights multiply across a
-join and add where two preimages meet, and the count is the weight that
-reaches the identity.  The default bound is n <= 10; 11 and 12 are allowed
-behind an explicit `max_n` with the hard cap at 12.  Every image is built
-in the calling process; the `shards` arguments are validated and echoed
-in the reports but change neither the result nor how it is built.
+left part and the entries s(m B), and s(S_n) itself is never built for
+it.  The single sorting pass is then applied t-2 more times.  Weights
+multiply within a join and add where two preimages meet, so the image is
+the set of keys and the t-stack-sortable count is the weight of the
+identity.  The levels are tiny next to n! (|s(S_9)| = 11033 and
+|s^2(S_9)| = 1081 against 362880).  The default bound is n <= 10; 11 and
+12 are allowed behind an explicit `max_n` with the hard cap at 12.  Every
+image is built in the calling process; the `shards` arguments are
+validated and echoed in the reports but change neither the result nor
+how it is built.
 """
 
 from __future__ import annotations
@@ -170,34 +171,47 @@ def _splits(k: int) -> list[tuple[int, ...]]:
             for left in itertools.combinations(range(1, k), a)]
 
 
-def _join(levels: list[set[bytes]], k: int) -> set[bytes]:
-    """s(S_k): for each left value set L, each member of s(S_a), relabelled
-    onto L, followed by each member of s(S_{k-1-a}), relabelled onto the
-    complement of L, then k.  `levels[j]` is s(S_j) for j < k."""
-    out: set[bytes] = set()
-    update = out.update
+def _join(levels: list[dict[bytes, int]], k: int) -> dict[bytes, int]:
+    """s(S_k) with fertilities: for each left value set L, each member x of
+    s(S_a), relabelled onto L, followed by each member y of s(S_{k-1-a}),
+    relabelled onto the complement of L, then k, weighted w(x) w(y).
+    `levels[j]` is s(S_j) for j < k.
+
+    The preimages L k R of x y k with a fixed L pair one preimage of x with
+    one of y, so weights multiply; different L give disjoint preimages, so
+    their weights add where they reach the same element.
+    """
+    out: dict[bytes, int] = {}
+    get = out.get
     top = bytes([k])
     for left in _splits(k):
         right = tuple(v for v in range(1, k) if v not in left)
         lt, rt = _relabel_table(left), _relabel_table(right)
-        lefts = [x.translate(lt) for x in levels[len(left)]]
-        rights = [y.translate(rt) + top for y in levels[len(right)]]
-        update([x + y for x in lefts for y in rights])
+        rights = [(y.translate(rt) + top, wy)
+                  for y, wy in levels[len(right)].items()]
+        for x, wx in levels[len(left)].items():
+            x = x.translate(lt)
+            for y, wy in rights:
+                key = x + y
+                out[key] = get(key, 0) + wx * wy
     return out
 
 
-def _sorted_levels(top: int) -> list[set[bytes]]:
-    """s(S_k) for k = 0..top, byte-packed (one byte per entry)."""
-    levels = [{b""}]
+def _sorted_levels(top: int) -> list[dict[bytes, int]]:
+    """s(S_k) for k = 0..top, byte-packed (one byte per entry), each element
+    mapped to its fertility."""
+    levels = [{b"": 1}]
     for k in range(1, top + 1):
         levels.append(_join(levels, k))
     return levels
 
 
-def _sorted_after(levels: list[set[bytes]]) -> list[list[set[bytes]]]:
-    """`after[j][r-1]` is the set of s(r b), b in s(S_j) relabelled onto
-    {1..j+1} minus r, for j < len(levels) and r = 1..j+1: the right-hand
-    factors of the twice join, standardized.  `levels[j]` is s(S_j).
+def _sorted_after(
+        levels: list[dict[bytes, int]]) -> list[list[dict[bytes, int]]]:
+    """`after[j][r-1]` maps s(r b), b in s(S_j) relabelled onto {1..j+1}
+    minus r, to the summed fertility of the b that reach it, for
+    j < len(levels) and r = 1..j+1: the right-hand factors of the twice
+    join, standardized.  `levels[j]` is s(S_j) with fertilities.
 
     One sort per b serves every r: r leaves the stack when the first entry
     of b above it arrives, which is when the entries before that one are
@@ -208,101 +222,87 @@ def _sorted_after(levels: list[set[bytes]]) -> list[list[set[bytes]]]:
         ranks = range(1, j + 2)
         skips = [_relabel_table([v for v in ranks if v != r]) for r in ranks]
         heads = [bytes([r]) for r in ranks]
-        row: list[set[bytes]] = [set() for _ in ranks]
-        for b in level:
+        row: list[dict[bytes, int]] = [{} for _ in ranks]
+        for b, w in level.items():
             sorted_b = bytes(stack_sort(b))
             i = 0
-            for r in ranks:
+            for r, skip, head, out in zip(ranks, skips, heads, row):
                 while i < j and b[i] < r:  # b[i] >= r is relabelled above r
                     i += 1
-                x = sorted_b.translate(skips[r - 1])
-                row[r - 1].add(x[:i] + heads[r - 1] + x[i:])
+                x = sorted_b.translate(skip)
+                key = x[:i] + head + x[i:]
+                out[key] = out.get(key, 0) + w
         after.append(row)
     return after
 
 
-def _twice_join(twice: list[set[bytes]], after: list[list[set[bytes]]],
-                k: int) -> set[bytes]:
-    """s^2(S_k), joined over the left value sets L of L k R.
+def _twice_join(twice: list[dict[bytes, int]],
+                after: list[list[dict[bytes, int]]],
+                k: int) -> dict[bytes, int]:
+    """s^2(S_k) with preimage counts under s^2, joined over the left value
+    sets L of L k R.
 
     For L k R with m = max L, A = s(L) ends in m, and once the machine has
     read A its stack holds m alone, so s^2(L k R) = s(A') s(m B) k with A'
     = A less m and B = s(R); s(A') m is an element of s^2 of L.  So each
     member of s^2(S_|L|) less its last entry, relabelled onto L - {m}, is
-    followed by each s(m B) (`after`), relabelled onto R + {m}, then k.
-    With L empty the element is a member of s^2(S_{k-1}) followed by k.
-    `twice[a]` is s^2(S_a) for a < k.
+    followed by each s(m B) (`after`), relabelled onto R + {m}, then k, and
+    their weights multiply as in `_join`.  With L empty the element is a
+    member of s^2(S_{k-1}) followed by k.  `twice[a]` is s^2(S_a) for a < k.
     """
-    out: set[bytes] = set()
-    update = out.update
+    out: dict[bytes, int] = {}
+    get = out.get
     top = bytes([k])
     for left in _splits(k):
         if not left:
-            update(x + top for x in twice[k - 1])
+            for x, w in twice[k - 1].items():
+                key = x + top
+                out[key] = get(key, 0) + w
             continue
         m = left[-1]
         rest = tuple(v for v in range(1, k) if v not in left or v == m)
         lt, rt = _relabel_table(left[:-1]), _relabel_table(rest)
-        lefts = [x[:-1].translate(lt) for x in twice[len(left)]]
-        rights = [y.translate(rt) + top
-                  for y in after[len(rest) - 1][rest.index(m)]]
-        update([x + y for x in lefts for y in rights])
+        rights = [(y.translate(rt) + top, wy)
+                  for y, wy in after[len(rest) - 1][rest.index(m)].items()]
+        for x, wx in twice[len(left)].items():
+            x = x[:-1].translate(lt)
+            for y, wy in rights:
+                key = x + y
+                out[key] = get(key, 0) + wx * wy
     return out
 
 
-def _twice_sorted_levels(after: list[list[set[bytes]]],
-                         top: int) -> list[set[bytes]]:
-    """s^2(S_k) for k = 0..top, byte-packed, from `after` =
-    `_sorted_after` of s(S_j) for at least j <= top-2."""
-    twice = [{b""}]
+def _twice_sorted_levels(after: list[list[dict[bytes, int]]],
+                         top: int) -> list[dict[bytes, int]]:
+    """s^2(S_k) for k = 0..top, byte-packed, each element mapped to its
+    number of preimages under s^2, from `after` = `_sorted_after` of s(S_j)
+    for at least j <= top-2."""
+    twice = [{b"": 1}]
     for k in range(1, top + 1):
         twice.append(_twice_join(twice, after, k))
     return twice
 
 
-def _fertility_levels(top: int) -> list[dict[bytes, int]]:
-    """s(S_k) for k = 0..top, each byte-packed element mapped to its
-    number of preimages in S_k (its fertility).
-
-    The join of `_join` with weights: the preimages L k R of x y k with a
-    fixed left value set pair one preimage of x with one of y, so weights
-    multiply; different left value sets give disjoint sets of preimages,
-    so their weights add where they reach the same element.
-    """
-    levels = [{b"": 1}]
-    for k in range(1, top + 1):
-        out: dict[bytes, int] = {}
-        get = out.get
-        top_byte = bytes([k])
-        for left in _splits(k):
-            right = tuple(v for v in range(1, k) if v not in left)
-            lt, rt = _relabel_table(left), _relabel_table(right)
-            rights = [(y.translate(rt) + top_byte, wy)
-                      for y, wy in levels[len(right)].items()]
-            for x, wx in levels[len(left)].items():
-                x = x.translate(lt)
-                for y, wy in rights:
-                    key = x + y
-                    out[key] = get(key, 0) + wx * wy
-        levels.append(out)
-    return levels
-
-
-def _image(n: int, t: int) -> set[bytes]:
-    """s^t(S_n), byte-packed, for t >= 1: t = 1 is the single join over
-    s(S_j), j < n; t >= 2 is the twice join, which needs s(S_j) only for
-    j <= n-2, then t-2 passes."""
+def _image(n: int, t: int) -> dict[bytes, int]:
+    """s^t(S_n), byte-packed, each element mapped to its number of
+    preimages under s^t, for t >= 1: t = 1 is the single join over s(S_j),
+    j < n; t >= 2 is the twice join, which needs s(S_j) only for j <= n-2,
+    then t-2 passes that add the weights of elements sorted together."""
     if n == 0:
-        return {b""}
+        return {b"": 1}
     if t == 1:
         return _join(_sorted_levels(n - 1), n)
     after = _sorted_after(_sorted_levels(max(n - 2, 0)))
     level = _twice_join(_twice_sorted_levels(after, n - 1), after, n)
-    ident = {bytes(range(1, n + 1))}
     for _ in range(t - 2):
-        if level == ident:  # the identity is fixed by every pass
+        if len(level) == 1:  # only the identity is left; every pass fixes it
             break
-        level = {bytes(stack_sort(q)) for q in level}
+        nxt: dict[bytes, int] = {}
+        get = nxt.get
+        for q, w in level.items():
+            key = bytes(stack_sort(q))
+            nxt[key] = get(key, 0) + w
+        level = nxt
     return level
 
 
@@ -484,7 +484,8 @@ def verify_prop2(m: int, n_max: int, shards: int = 1,
 
 
 def count_avoiders(n: int, max_n: int | None = None) -> int:
-    """|{p in S_n avoiding the barred pattern}| by scan (fast check)."""
+    """|{p in S_n avoiding the barred pattern}| by a scan of all n!
+    permutations, the one production path that still scans S_n."""
     _require_within(n, max_n)
     return sum(1 for p in _standard_perms(n) if descent_tops_are_lr_maxima(p))
 
@@ -492,9 +493,8 @@ def count_avoiders(n: int, max_n: int | None = None) -> int:
 def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
     """Count of p in S_n fully sorted by t passes, without scanning S_n.
 
-    Each element of s(S_n) carries its fertility (`_fertility_levels`);
-    t-1 more passes of `stack_sort` carry those weights along, adding them
-    where two elements meet, and the count is the weight that reaches the
+    The image engine weights each element of s^t(S_n) by its number of
+    preimages under s^t (`_image`), so the count is the weight of the
     identity.  With t = 0 only the identity itself is sorted.
     """
     _require_within(n, max_n)
@@ -502,16 +502,7 @@ def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return 1
-    level = _fertility_levels(n)[n]
-    for _ in range(t - 1):
-        if len(level) == 1:  # only the identity is left; every pass fixes it
-            break
-        nxt: dict[bytes, int] = {}
-        for q, w in level.items():
-            r = bytes(stack_sort(q))
-            nxt[r] = nxt.get(r, 0) + w
-        level = nxt
-    return level[bytes(range(1, n + 1))]
+    return _image(n, t)[bytes(range(1, n + 1))]
 
 
 def verify_thm3_count(n: int, max_n: int | None = None) -> VerificationReport:

@@ -133,16 +133,11 @@ def parse_permutation(text: str, max_len: int = MAX_PARSE_LEN) -> Perm:
     entries: list[int] = []
     if any(ch.isspace() for ch in s):
         for idx, tok in enumerate(s.split(), start=1):
-            if not tok.isdigit() or int(tok) < 1:
+            if not tok.isdecimal() or int(tok) < 1:
                 raise ParseError(
                     f"entry {idx} ({tok!r}) is not a positive integer",
                     position=idx)
             entries.append(int(tok))
-    elif len(s) == 1:
-        if s not in "123456789":
-            raise ParseError(f"invalid character {s!r} at character 1",
-                             position=1)
-        entries.append(int(s))
     else:
         for idx, ch in enumerate(s, start=1):
             if ch not in "123456789":

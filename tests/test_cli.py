@@ -230,6 +230,11 @@ def test_parse_error_exit_code(capsys):
     assert run(["sort", "41x2"]) == 1
     _, err = out_of(capsys)
     assert "character 3" in err
+    # "²".isdigit() holds, but int("²") raises ValueError
+    for argv in (["sort", "1", "²"], ["bijection", "{1,²}"]):
+        assert run(argv) == 1, argv
+        _, err = out_of(capsys)
+        assert err.startswith("parse error:"), argv
 
 
 def test_domain_error_exit_code(capsys):
@@ -328,9 +333,10 @@ _FLAGS = {
 # every other flag takes an integer in -1..6: no argv enumerates past S_6
 _VALUES = {"--compact": st.just(None), "--keep-elements": st.just(None),
            "--format": st.sampled_from(("plain", "csv", "jsonl", "xml"))}
-_TOKENS = ("21", "4162", "35241", "2 1 3", "1 1", "0", "-1", "x", "",
-           "{1}{2,3}", "{1}{3}", "{}", "theorem1", "theorem2", "prop2",
-           "thm3_count", "catalan", "west_zeilberger", "all", "--frobnicate")
+_TOKENS = ("21", "4162", "35241", "2 1 3", "1 1", "0", "-1", "x", "", "1 ²",
+           "{1}{2,3}", "{1}{3}", "{}", "{1,²}", "theorem1", "theorem2",
+           "prop2", "thm3_count", "catalan", "west_zeilberger", "all",
+           "--frobnicate")
 
 
 @st.composite

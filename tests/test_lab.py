@@ -20,6 +20,7 @@ from stacksortlab import (
     is_t_stack_sortable,
     load_bell_fixture,
     stack_sort,
+    stack_sort_iterate,
     tail_length,
     verify_all,
     verify_catalan,
@@ -30,7 +31,7 @@ from stacksortlab import (
     verify_west_zeilberger,
     west_zeilberger_count,
 )
-from stacksortlab.lab import (_brute_image, _fertility_levels, _predicted_image,
+from stacksortlab.lab import (_brute_image, _image, _predicted_image,
                               _sorted_after, _sorted_levels,
                               _twice_sorted_levels)
 
@@ -287,13 +288,20 @@ def test_count_t_stack_sortable_examples():
     assert count_t_stack_sortable(5, 2) == west_zeilberger_count(5) == 91
 
 
-def test_fertility_levels_match_brute_force():
-    levels = _fertility_levels(8)
-    for n, level in enumerate(levels):
-        assert sum(level.values()) == math.factorial(n), n
-        assert {tuple(q) for q in level} == _brute_image(n, 1), n
-        fertility = Counter(stack_sort(p) for p in perms(n))
-        assert {tuple(q): w for q, w in level.items()} == fertility, n
+def test_image_weights_match_brute_force():
+    # every key of s^t(S_n) carries its number of preimages under s^t
+    for n in range(9):
+        for t in (1, 2, 3):
+            level = _image(n, t)
+            assert sum(level.values()) == math.factorial(n), (n, t)
+            preimages = Counter(stack_sort_iterate(p, t) for p in perms(n))
+            assert {tuple(q): w for q, w in level.items()} == preimages, (n, t)
+
+
+def test_two_stack_sortable_counts_past_default_bound():
+    for n in range(9, 12):
+        assert count_t_stack_sortable(n, 2, max_n=11) == \
+            west_zeilberger_count(n), n
 
 
 def test_count_t_stack_sortable_matches_oracle():

@@ -189,5 +189,8 @@ def test_partition_parse_errors():
         parse_partition("2,1,3")
     with pytest.raises(ParseError):
         parse_partition("{2}{1,x}")
+    with pytest.raises(ParseError) as exc:
+        parse_partition("{1}{2,²}")  # "²".isdigit(), but int("²") fails
+    assert exc.value.position == 2
     with pytest.raises(PreconditionError):
         parse_partition("{1}{3}")

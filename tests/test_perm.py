@@ -146,6 +146,11 @@ def test_parse_errors_cite_position():
         parse_permutation("10")  # 0 is not a valid entry
     with pytest.raises(ParseError):
         parse_permutation(" ".join(str(v) for v in range(1, 22)))
+    # "²".isdigit() holds, but int("²") raises ValueError
+    for text in ("1 ²", "1²"):
+        with pytest.raises(ParseError) as exc:
+            parse_permutation(text)
+        assert exc.value.position == 2, text
 
 
 def test_format_permutation():
