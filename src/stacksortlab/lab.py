@@ -4,20 +4,21 @@ t-stack-sortable permutations, and the verification suites built on them.
 Everything here is exact integer arithmetic, and no engine sorts all n!
 permutations.  One engine answers both questions: every level is a dict
 mapping a byte-packed permutation (one byte per entry) to its number of
-preimages under s^t.  s(S_n) is joined from the images of smaller sizes
-through s(L n R) = s(L) s(R) n.  s^2(S_n) is joined the same way, one
-pass further: with m = max L, s^2(L n R) = s(A') s(m B) n, where A' is
-s(L) less its final m and B = s(R), so s^2(S_n) comes from s^2 of the
-left part and the entries s(m B), and s(S_n) itself is never built for
-it.  The single sorting pass is then applied t-2 more times.  Weights
-multiply within a join and add where two preimages meet, so the image is
-the set of keys and the t-stack-sortable count is the weight of the
-identity.  The levels are tiny next to n! (|s(S_9)| = 11033 and
-|s^2(S_9)| = 1081 against 362880).  The default bound is n <= 10; 11 and
-12 are allowed behind an explicit `max_n` with the hard cap at 12.  Every
-image is built in the calling process; the `shards` arguments are
-validated and echoed in the reports but change neither the result nor
-how it is built.
+preimages under s^t.  One join builds s^t(S_n), t = 1 or 2, from the
+levels of smaller sizes over the left value sets L of L n R.  It peels
+the top p = min(t-1, |L|) values off L: with p = 0, s(L n R) =
+s(L) s(R) n; with p = 1 and m = max L, s^2(L n R) = s(A') s(m B) n, where
+A' is s(L) less its final m and B = s(R), so s^2(S_n) comes from s^2 of
+the left part and the entries s(m B), and s(S_n) itself is never built
+for it.  For t >= 3 the single sorting pass is then applied t-2 more
+times.  Weights multiply within a join and add where two preimages meet,
+so the image is the set of keys and the t-stack-sortable count is the
+weight of the identity.  The levels are tiny next to n! (|s(S_9)| =
+11033 and |s^2(S_9)| = 1081 against 362880).  The default bound is
+n <= 10; 11 and 12 are allowed behind an explicit `max_n` with the hard
+cap at 12.  Every image is built in the calling process; the `shards`
+arguments are validated and echoed in the reports but change neither the
+result nor how it is built.
 """
 
 from __future__ import annotations
@@ -158,51 +159,60 @@ def _standard_perms(n: int) -> Iterator[Perm]:
 def _relabel_table(values: Sequence[int]) -> bytes:
     """`bytes.translate` table sending i to values[i-1] for i = 1..len(values)
     and fixing every other byte."""
-    table = bytearray(range(256))
-    table[1:len(values) + 1] = values
-    return bytes(table)
+    return bytes.maketrans(bytes(range(1, len(values) + 1)), bytes(values))
 
 
-def _splits(k: int) -> list[tuple[int, ...]]:
-    """Every left value set L, a subset of {1..k-1}, of a permutation
-    L k R, by size and then lexicographically: the products that build
-    s(S_k) from s(L k R) = s(L) s(R) k."""
-    return [left for a in range(k)
-            for left in itertools.combinations(range(1, k), a)]
+def _join(levels: list[dict[bytes, int]],
+          after: list[list[dict[bytes, int]]] | None,
+          k: int, t: int) -> dict[bytes, int]:
+    """s^t(S_k) for t = 1 or 2, each element mapped to its number of
+    preimages under s^t, joined over the left value sets L, subsets of
+    {1..k-1}, of L k R.  `levels[j]` is s^t(S_j) for j < k; `after` is
+    `_sorted_after` of s(S_j) for j <= k-2 (read only when t = 2).
 
-
-def _join(levels: list[dict[bytes, int]], k: int) -> dict[bytes, int]:
-    """s(S_k) with fertilities: for each left value set L, each member x of
-    s(S_a), relabelled onto L, followed by each member y of s(S_{k-1-a}),
-    relabelled onto the complement of L, then k, weighted w(x) w(y).
-    `levels[j]` is s(S_j) for j < k.
-
-    The preimages L k R of x y k with a fixed L pair one preimage of x with
-    one of y, so weights multiply; different L give disjoint preimages, so
-    their weights add where they reach the same element.
+    The join peels the top p = min(t-1, |L|) values off L; `kept` is the
+    rest of L.  Every member of s^t(S_|L|) ends in its top p values, so
+    deleting them (`peeled`) drops its last p entries.  With p = 0,
+    s(L k R) = s(L) s(R) k: each member of s^t(S_|L|) relabelled onto L is
+    followed by each member of s^t(S_|R|) relabelled onto R.  With p = 1
+    and m = max L, A = s(L) ends in m, and once the second pass has read A
+    its stack holds m alone, so s^2(L k R) = s(A') s(m B) k with A' = A
+    less m and B = s(R), and s(A') m is s^2(L).  So each member of
+    s^2(S_|L|) less its last entry, relabelled onto `kept`, is followed by
+    each s(m B) from `after`, relabelled onto R + {m}.  Either way k comes
+    last.  The preimages with a fixed L pair one preimage of each factor,
+    so weights multiply; different L give disjoint preimages, so their
+    weights add where they reach the same element.
     """
     out: dict[bytes, int] = {}
     get = out.get
     top = bytes([k])
-    for left in _splits(k):
-        right = tuple(v for v in range(1, k) if v not in left)
-        lt, rt = _relabel_table(left), _relabel_table(right)
-        rights = [(y.translate(rt) + top, wy)
-                  for y, wy in levels[len(right)].items()]
-        for x, wx in levels[len(left)].items():
-            x = x.translate(lt)
-            for y, wy in rights:
-                key = x + y
-                out[key] = get(key, 0) + wx * wy
+    for a in range(k):
+        p = min(t - 1, a)
+        peeled = bytes(range(a - p + 1, a + 1))
+        lefts = levels[a].items()
+        for left in itertools.combinations(range(1, k), a):
+            kept = left[:a - p]
+            rest = tuple(v for v in range(1, k) if v not in kept)
+            lt, rt = _relabel_table(kept), _relabel_table(rest)
+            factor = (after[len(rest) - 1][rest.index(left[-1])] if p
+                      else levels[len(rest)])
+            rights = [(y.translate(rt) + top, wy) for y, wy in factor.items()]
+            for x, wx in lefts:
+                x = x.translate(lt, peeled)  # drops the last p entries
+                for y, wy in rights:
+                    key = x + y
+                    out[key] = get(key, 0) + wx * wy
     return out
 
 
-def _sorted_levels(top: int) -> list[dict[bytes, int]]:
-    """s(S_k) for k = 0..top, byte-packed (one byte per entry), each element
-    mapped to its fertility."""
+def _levels(top: int, t: int = 1) -> list[dict[bytes, int]]:
+    """s^t(S_k) for k = 0..top and t = 1 or 2, byte-packed (one byte per
+    entry), each element mapped to its number of preimages under s^t."""
+    after = _sorted_after(_levels(top - 2)) if t == 2 else None
     levels = [{b"": 1}]
     for k in range(1, top + 1):
-        levels.append(_join(levels, k))
+        levels.append(_join(levels, after, k, t))
     return levels
 
 
@@ -210,8 +220,8 @@ def _sorted_after(
         levels: list[dict[bytes, int]]) -> list[list[dict[bytes, int]]]:
     """`after[j][r-1]` maps s(r b), b in s(S_j) relabelled onto {1..j+1}
     minus r, to the summed fertility of the b that reach it, for
-    j < len(levels) and r = 1..j+1: the right-hand factors of the twice
-    join, standardized.  `levels[j]` is s(S_j) with fertilities.
+    j < len(levels) and r = 1..j+1: the right-hand factors of the join
+    for t = 2, standardized.  `levels[j]` is s(S_j) with fertilities.
 
     One sort per b serves every r: r leaves the stack when the first entry
     of b above it arrives, which is when the entries before that one are
@@ -236,65 +246,13 @@ def _sorted_after(
     return after
 
 
-def _twice_join(twice: list[dict[bytes, int]],
-                after: list[list[dict[bytes, int]]],
-                k: int) -> dict[bytes, int]:
-    """s^2(S_k) with preimage counts under s^2, joined over the left value
-    sets L of L k R.
-
-    For L k R with m = max L, A = s(L) ends in m, and once the machine has
-    read A its stack holds m alone, so s^2(L k R) = s(A') s(m B) k with A'
-    = A less m and B = s(R); s(A') m is an element of s^2 of L.  So each
-    member of s^2(S_|L|) less its last entry, relabelled onto L - {m}, is
-    followed by each s(m B) (`after`), relabelled onto R + {m}, then k, and
-    their weights multiply as in `_join`.  With L empty the element is a
-    member of s^2(S_{k-1}) followed by k.  `twice[a]` is s^2(S_a) for a < k.
-    """
-    out: dict[bytes, int] = {}
-    get = out.get
-    top = bytes([k])
-    for left in _splits(k):
-        if not left:
-            for x, w in twice[k - 1].items():
-                key = x + top
-                out[key] = get(key, 0) + w
-            continue
-        m = left[-1]
-        rest = tuple(v for v in range(1, k) if v not in left or v == m)
-        lt, rt = _relabel_table(left[:-1]), _relabel_table(rest)
-        rights = [(y.translate(rt) + top, wy)
-                  for y, wy in after[len(rest) - 1][rest.index(m)].items()]
-        for x, wx in twice[len(left)].items():
-            x = x[:-1].translate(lt)
-            for y, wy in rights:
-                key = x + y
-                out[key] = get(key, 0) + wx * wy
-    return out
-
-
-def _twice_sorted_levels(after: list[list[dict[bytes, int]]],
-                         top: int) -> list[dict[bytes, int]]:
-    """s^2(S_k) for k = 0..top, byte-packed, each element mapped to its
-    number of preimages under s^2, from `after` = `_sorted_after` of s(S_j)
-    for at least j <= top-2."""
-    twice = [{b"": 1}]
-    for k in range(1, top + 1):
-        twice.append(_twice_join(twice, after, k))
-    return twice
-
-
 def _image(n: int, t: int) -> dict[bytes, int]:
     """s^t(S_n), byte-packed, each element mapped to its number of
-    preimages under s^t, for t >= 1: t = 1 is the single join over s(S_j),
-    j < n; t >= 2 is the twice join, which needs s(S_j) only for j <= n-2,
-    then t-2 passes that add the weights of elements sorted together."""
-    if n == 0:
-        return {b"": 1}
-    if t == 1:
-        return _join(_sorted_levels(n - 1), n)
-    after = _sorted_after(_sorted_levels(max(n - 2, 0)))
-    level = _twice_join(_twice_sorted_levels(after, n - 1), after, n)
-    for _ in range(t - 2):
+    preimages under s^t, for t >= 1: the join for u = min(t, 2), then t-u
+    passes that add the weights of elements sorted together."""
+    u = min(t, 2)
+    level = _levels(n, u)[n]
+    for _ in range(t - u):
         if len(level) == 1:  # only the identity is left; every pass fixes it
             break
         nxt: dict[bytes, int] = {}
@@ -322,17 +280,23 @@ def image_of_iterate(
 ) -> ImageReport:
     """Exact image of the t-fold sorting map over all n! permutations.
 
-    s(S_n) (t = 1) is joined from the smaller images by s(L n R) =
-    s(L) s(R) n; for t >= 2, s^2(S_n) is joined from the smaller s^2 and
-    s(S_j) images (`_twice_join`), then the sorting pass is applied t-2
-    more times, all in the calling process.  `shards` must be >= 1; it is
-    echoed in the report and changes neither the image nor how it is built.
+    s^u(S_n), u = min(t, 2), is joined from the smaller images of the
+    same u (`_join`, which peels p = min(u-1, |L|) values off each left
+    value set L), then the sorting pass is applied t-u more times, all in
+    the calling process.  `shards` must be >= 1; it is echoed in the
+    report and changes neither the image nor how it is built.  Keeping
+    the elements of the 0-fold image (all of S_n) is refused above the
+    default bound of n, whatever `max_n` says.
     """
     _require_within(n, max_n)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    if t == 0 and keep_elements and n > DEFAULT_MAX_N:
+        raise ResourceBoundError(
+            f"keeping the {n}! elements of S_n (t = 0) is capped at "
+            f"n <= {DEFAULT_MAX_N}; the count alone is allowed")
     start = time.perf_counter()
     if t == 0:
         # the 0-fold image is all of S_n; nothing to build for a count

@@ -257,6 +257,9 @@ def test_resource_error_exit_code(capsys):
     assert "bound" in err
     assert run(["count-image", "--n", "13", "--t", "1", "--max-n", "13"]) == 3
     capsys.readouterr()
+    assert run(["count-image", "--n", "11", "--t", "0", "--keep-elements",
+                "--max-n", "11"]) == 3
+    assert "resource error:" in out_of(capsys)[1]
 
 
 def test_usage_error_exit_code(capsys):

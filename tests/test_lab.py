@@ -31,9 +31,8 @@ from stacksortlab import (
     verify_west_zeilberger,
     west_zeilberger_count,
 )
-from stacksortlab.lab import (_brute_image, _image, _predicted_image,
-                              _sorted_after, _sorted_levels,
-                              _twice_sorted_levels)
+from stacksortlab.lab import (_brute_image, _image, _levels,
+                              _predicted_image, _sorted_after)
 
 # ---------------------------------------------------------------------------
 # exact sequences
@@ -137,14 +136,22 @@ def test_twice_sorted_image_sizes():
         1, 1, 1, 1, 2, 5, 15, 55, 228, 1081, 5718]
 
 
+def test_thrice_and_four_times_sorted_image_sizes():
+    # |s^3(S_n)| and |s^4(S_n)| for n = 0..11, past the default bound
+    assert [len(_image(n, 3)) for n in range(12)] == [
+        1, 1, 1, 1, 1, 2, 5, 15, 52, 207, 912, 4456]
+    assert [len(_image(n, 4)) for n in range(12)] == [
+        1, 1, 1, 1, 1, 1, 2, 5, 15, 52, 203, 882]
+
+
 def test_twice_sorted_levels_match_brute_oracle():
-    twice = _twice_sorted_levels(_sorted_after(_sorted_levels(6)), 8)
+    twice = _levels(8, 2)
     for k in range(9):
         assert {tuple(x) for x in twice[k]} == _brute_image(k, 2), k
 
 
 def test_sorted_after_matches_stack_sort():
-    after = _sorted_after(_sorted_levels(7))
+    after = _sorted_after(_levels(7))
     for j in range(8):
         image = _brute_image(j, 1)
         for r in range(1, j + 2):
@@ -158,6 +165,10 @@ def test_image_bounds():
         image_of_iterate(11, 1)
     with pytest.raises(ResourceBoundError):
         image_of_iterate(13, 1, max_n=13)
+    # all of S_n is only kept up to the default bound; its count is not
+    with pytest.raises(ResourceBoundError):
+        image_of_iterate(11, 0, keep_elements=True, max_n=11)
+    assert image_of_iterate(11, 0, max_n=12).count == 39916800
     with pytest.raises(ValueError):
         image_of_iterate(4, -1)
 
