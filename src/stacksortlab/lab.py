@@ -19,10 +19,21 @@ n <= 10; 11 and 12 are allowed behind an explicit `max_n` with the hard
 cap at 12.  Every image is built in the calling process; the `shards`
 arguments are validated and echoed in the reports but change neither the
 result nor how it is built.
+
+A `_Store` holds the levels, the `_sorted_after` rows and the later
+passes, each built at most once.  `verify_all`, `verify_prop2` and
+`explore_open` share one store across every image they ask for: the
+outermost of them opens it and drops it on return.  Any other call
+builds its own store and drops it on return, so no level outlives the
+call that asked for it.  The avoiders of the barred pattern are counted
+by their generating tree, so no production path scans S_n; only
+`_predicted_image` filters S_{n-t}.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 import time
@@ -163,11 +174,11 @@ def _relabel_table(values: Sequence[int]) -> bytes:
 
 
 def _join(levels: list[dict[bytes, int]],
-          after: list[list[dict[bytes, int]]] | None,
+          after: list[list[dict[bytes, int]]],
           k: int, t: int) -> dict[bytes, int]:
     """s^t(S_k) for t = 1 or 2, each element mapped to its number of
     preimages under s^t, joined over the left value sets L, subsets of
-    {1..k-1}, of L k R.  `levels[j]` is s^t(S_j) for j < k; `after` is
+    {1..k-1}, of L k R.  `levels[j]` is s^t(S_j) for j < k; `after[j]` is
     `_sorted_after` of s(S_j) for j <= k-2 (read only when t = 2).
 
     The join peels the top p = min(t-1, |L|) values off L; `kept` is the
@@ -206,62 +217,92 @@ def _join(levels: list[dict[bytes, int]],
     return out
 
 
-def _levels(top: int, t: int = 1) -> list[dict[bytes, int]]:
-    """s^t(S_k) for k = 0..top and t = 1 or 2, byte-packed (one byte per
-    entry), each element mapped to its number of preimages under s^t."""
-    after = _sorted_after(_levels(top - 2)) if t == 2 else None
-    levels = [{b"": 1}]
-    for k in range(1, top + 1):
-        levels.append(_join(levels, after, k, t))
-    return levels
-
-
-def _sorted_after(
-        levels: list[dict[bytes, int]]) -> list[list[dict[bytes, int]]]:
-    """`after[j][r-1]` maps s(r b), b in s(S_j) relabelled onto {1..j+1}
-    minus r, to the summed fertility of the b that reach it, for
-    j < len(levels) and r = 1..j+1: the right-hand factors of the join
-    for t = 2, standardized.  `levels[j]` is s(S_j) with fertilities.
+def _sorted_after(level: dict[bytes, int], j: int) -> list[dict[bytes, int]]:
+    """`row[r-1]` maps s(r b), b in s(S_j) relabelled onto {1..j+1} minus
+    r, to the summed fertility of the b that reach it, for r = 1..j+1: the
+    right-hand factors of the join for t = 2, standardized.  `level` is
+    s(S_j) with fertilities.
 
     One sort per b serves every r: r leaves the stack when the first entry
     of b above it arrives, which is when the entries before that one are
     flushed anyway, so s(r b) is s(b) with r put in at that entry's index.
     """
-    after = []
-    for j, level in enumerate(levels):
-        ranks = range(1, j + 2)
-        skips = [_relabel_table([v for v in ranks if v != r]) for r in ranks]
-        heads = [bytes([r]) for r in ranks]
-        row: list[dict[bytes, int]] = [{} for _ in ranks]
-        for b, w in level.items():
-            sorted_b = bytes(stack_sort(b))
-            i = 0
-            for r, skip, head, out in zip(ranks, skips, heads, row):
-                while i < j and b[i] < r:  # b[i] >= r is relabelled above r
-                    i += 1
-                x = sorted_b.translate(skip)
-                key = x[:i] + head + x[i:]
-                out[key] = out.get(key, 0) + w
-        after.append(row)
-    return after
+    ranks = range(1, j + 2)
+    skips = [_relabel_table([v for v in ranks if v != r]) for r in ranks]
+    heads = [bytes([r]) for r in ranks]
+    row: list[dict[bytes, int]] = [{} for _ in ranks]
+    for b, w in level.items():
+        sorted_b = bytes(stack_sort(b))
+        i = 0
+        for r, skip, head, out in zip(ranks, skips, heads, row):
+            while i < j and b[i] < r:  # b[i] >= r is relabelled above r
+                i += 1
+            x = sorted_b.translate(skip)
+            key = x[:i] + head + x[i:]
+            out[key] = out.get(key, 0) + w
+    return row
+
+
+class _Store:
+    """Weighted closure levels, each built at most once: `levels[t][k]` is
+    s^t(S_k) for t = 1 or 2, grown one size at a time by `_join`;
+    `after[j]` is `_sorted_after` of s(S_j), grown as `levels[2]` needs
+    it; `passes[(n, t)]` for t >= 3 is one sorting pass over s^{t-1}(S_n).
+    """
+
+    def __init__(self) -> None:
+        self.levels: dict[int, list[dict[bytes, int]]] = {
+            1: [{b"": 1}], 2: [{b"": 1}]}
+        self.after: list[list[dict[bytes, int]]] = []
+        self.passes: dict[tuple[int, int], dict[bytes, int]] = {}
+
+    def image(self, n: int, t: int) -> dict[bytes, int]:
+        """s^t(S_n) for t >= 1, each element mapped to its number of
+        preimages under s^t."""
+        if t >= 3:
+            level = self.passes.get((n, t))
+            if level is None:
+                level = self.image(n, t - 1)
+                if len(level) > 1:  # a pass fixes the identity alone
+                    nxt: dict[bytes, int] = {}
+                    get = nxt.get
+                    for q, w in level.items():
+                        key = bytes(stack_sort(q))
+                        nxt[key] = get(key, 0) + w
+                    level = nxt
+                self.passes[n, t] = level
+            return level
+        levels = self.levels[t]
+        while len(levels) <= n:
+            k = len(levels)
+            while t == 2 and len(self.after) < k - 1:
+                j = len(self.after)
+                self.after.append(_sorted_after(self.image(j, 1), j))
+            levels.append(_join(levels, self.after, k, t))
+        return levels[n]
+
+
+_STORE: contextvars.ContextVar[_Store | None] = contextvars.ContextVar(
+    "_STORE", default=None)
+
+
+@contextlib.contextmanager
+def _sharing_levels() -> Iterator[None]:
+    """Share one `_Store` across every image built inside the block; a
+    nested block keeps the store of the outermost one."""
+    token = _STORE.set(_STORE.get() or _Store())
+    try:
+        yield
+    finally:
+        _STORE.reset(token)
 
 
 def _image(n: int, t: int) -> dict[bytes, int]:
     """s^t(S_n), byte-packed, each element mapped to its number of
     preimages under s^t, for t >= 1: the join for u = min(t, 2), then t-u
-    passes that add the weights of elements sorted together."""
-    u = min(t, 2)
-    level = _levels(n, u)[n]
-    for _ in range(t - u):
-        if len(level) == 1:  # only the identity is left; every pass fixes it
-            break
-        nxt: dict[bytes, int] = {}
-        get = nxt.get
-        for q, w in level.items():
-            key = bytes(stack_sort(q))
-            nxt[key] = get(key, 0) + w
-        level = nxt
-    return level
+    passes that add the weights of elements sorted together.  Read from
+    the shared store inside `_sharing_levels`, else from a fresh one."""
+    return (_STORE.get() or _Store()).image(n, t)
 
 
 def _brute_image(n: int, t: int) -> frozenset[Perm]:
@@ -429,8 +470,10 @@ def verify_prop2(m: int, n_max: int, shards: int = 1,
     if m < 1 or n_max < m:
         raise PreconditionError(
             f"needs 1 <= m <= n_max, got m={m}, n_max={n_max}")
-    counts = [image_of_iterate(n, n - m, shards=shards, max_n=max_n).count
-              for n in range(m, n_max + 1)]
+    with _sharing_levels():
+        counts = [image_of_iterate(n, n - m, shards=shards,
+                                   max_n=max_n).count
+                  for n in range(m, n_max + 1)]
     checks = 0
     passed = 0
     for i in range(len(counts) - 1):
@@ -448,10 +491,28 @@ def verify_prop2(m: int, n_max: int, shards: int = 1,
 
 
 def count_avoiders(n: int, max_n: int | None = None) -> int:
-    """|{p in S_n avoiding the barred pattern}| by a scan of all n!
-    permutations, the one production path that still scans S_n."""
+    """|{p in S_n avoiding the barred pattern}|, i.e. with every descent
+    top a left-to-right maximum, by the generating tree of the avoiders.
+
+    Every prefix of an avoider, standardized, is an avoider, so each
+    avoider of [k+1] is one of [k] with a new last value v in 1..k+1 and
+    the entries >= v moved up by one.  The new entry is allowed iff the
+    old last entry l was a left-to-right maximum or v > l, and it is a
+    left-to-right maximum iff v = k+1.  So the count runs over the states
+    (l, is l a left-to-right maximum) in O(n^3) steps.
+    """
     _require_within(n, max_n)
-    return sum(1 for p in _standard_perms(n) if descent_tops_are_lr_maxima(p))
+    # the empty permutation ends in a virtual 0 that is a maximum
+    ends: dict[tuple[int, bool], int] = {(0, True): 1}
+    for k in range(n):
+        nxt: dict[tuple[int, bool], int] = {}
+        for (last, lr), count in ends.items():
+            for v in range(1, k + 2):
+                if lr or v > last:
+                    key = (v, v == k + 1)
+                    nxt[key] = nxt.get(key, 0) + count
+        ends = nxt
+    return sum(ends.values())
 
 
 def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
@@ -500,25 +561,27 @@ def verify_all(max_n: int, shards: int = 1) -> list[VerificationReport]:
     """Every verification claim instantiated over all parameters that fit
     within the bound."""
     _resolve_bound(max_n)
-    reports: list[VerificationReport] = []
-    m = 1
-    while max(m, 2 * m - 2) <= max_n:
-        for n in range(max(m, 2 * m - 2), max_n + 1):
-            reports.append(verify_theorem1(m, n, shards=shards, max_n=max_n))
-        m += 1
-    m = 3
-    while 2 * m - 3 <= max_n:
-        reports.append(verify_theorem2(m, shards=shards, max_n=max_n))
-        m += 1
-    for m in range(1, min(4, max_n) + 1):
-        reports.append(verify_prop2(m, max_n, shards=shards, max_n=max_n))
-    for n in range(1, max_n + 1):
-        reports.append(verify_thm3_count(n, max_n=max_n))
-    for n in range(1, max_n + 1):
-        reports.append(verify_catalan(n, max_n=max_n))
-    for n in range(1, max_n + 1):
-        reports.append(verify_west_zeilberger(n, max_n=max_n))
-    return reports
+    with _sharing_levels():
+        reports: list[VerificationReport] = []
+        m = 1
+        while max(m, 2 * m - 2) <= max_n:
+            for n in range(max(m, 2 * m - 2), max_n + 1):
+                reports.append(verify_theorem1(m, n, shards=shards,
+                                               max_n=max_n))
+            m += 1
+        m = 3
+        while 2 * m - 3 <= max_n:
+            reports.append(verify_theorem2(m, shards=shards, max_n=max_n))
+            m += 1
+        for m in range(1, min(4, max_n) + 1):
+            reports.append(verify_prop2(m, max_n, shards=shards, max_n=max_n))
+        for n in range(1, max_n + 1):
+            reports.append(verify_thm3_count(n, max_n=max_n))
+        for n in range(1, max_n + 1):
+            reports.append(verify_catalan(n, max_n=max_n))
+        for n in range(1, max_n + 1):
+            reports.append(verify_west_zeilberger(n, max_n=max_n))
+        return reports
 
 
 def explore_open(m: int, shards: int = 1,
@@ -533,8 +596,9 @@ def explore_open(m: int, shards: int = 1,
     if m < 1:
         raise PreconditionError(f"m must be positive, got {m}")
     _require_within(max(m, 2 * m - 2), max_n)
-    rows = [image_of_iterate(n, n - m, shards=shards, max_n=max_n)
-            for n in range(m, 2 * m - 1)]
+    with _sharing_levels():
+        rows = [image_of_iterate(n, n - m, shards=shards, max_n=max_n)
+                for n in range(m, 2 * m - 1)]
     if rows:
         if rows[0].count != math.factorial(m):
             raise AssertionError(

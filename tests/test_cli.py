@@ -260,6 +260,8 @@ def test_resource_error_exit_code(capsys):
     assert run(["count-image", "--n", "11", "--t", "0", "--keep-elements",
                 "--max-n", "11"]) == 3
     assert "resource error:" in out_of(capsys)[1]
+    assert run(["verify", "thm3_count", "--n", "11"]) == 3
+    assert "resource error:" in out_of(capsys)[1]
 
 
 def test_usage_error_exit_code(capsys):

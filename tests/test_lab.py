@@ -14,6 +14,7 @@ from stacksortlab import (
     characterize_membership_rule,
     count_avoiders,
     count_t_stack_sortable,
+    descent_tops_are_lr_maxima,
     explore_open,
     identity,
     image_of_iterate,
@@ -31,8 +32,9 @@ from stacksortlab import (
     verify_west_zeilberger,
     west_zeilberger_count,
 )
-from stacksortlab.lab import (_brute_image, _image, _levels,
-                              _predicted_image, _sorted_after)
+from stacksortlab import lab
+from stacksortlab.lab import (_brute_image, _image, _predicted_image,
+                              _sharing_levels, _sorted_after, _Store)
 
 # ---------------------------------------------------------------------------
 # exact sequences
@@ -145,19 +147,78 @@ def test_thrice_and_four_times_sorted_image_sizes():
 
 
 def test_twice_sorted_levels_match_brute_oracle():
-    twice = _levels(8, 2)
+    store = _Store()
+    store.image(8, 2)
+    twice = store.levels[2]
     for k in range(9):
         assert {tuple(x) for x in twice[k]} == _brute_image(k, 2), k
 
 
 def test_sorted_after_matches_stack_sort():
-    after = _sorted_after(_levels(7))
+    store = _Store()
+    after = [_sorted_after(store.image(j, 1), j) for j in range(8)]
     for j in range(8):
         image = _brute_image(j, 1)
         for r in range(1, j + 2):
             expected = {stack_sort((r,) + tuple(v + (v >= r) for v in b))
                         for b in image}
             assert {tuple(y) for y in after[j][r - 1]} == expected, (j, r)
+
+
+def _count_calls(monkeypatch, name: str) -> list[tuple]:
+    """Replace `lab.<name>` by a wrapper that records each call's
+    arguments in the returned list."""
+    calls: list[tuple] = []
+    original = getattr(lab, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(lab, name, counted)
+    return calls
+
+
+def test_verify_all_builds_each_level_once(monkeypatch):
+    joins = _count_calls(monkeypatch, "_join")
+    rows = _count_calls(monkeypatch, "_sorted_after")
+    assert all(r.passed for r in verify_all(8))
+    # s(S_k) and s^2(S_k) for k = 1..8; the rows of s(S_j) for j = 0..6
+    assert sorted((k, t) for _, _, k, t in joins) == [
+        (k, t) for k in range(1, 9) for t in (1, 2)]
+    assert [j for _, j in rows] == list(range(7))
+
+
+def test_level_store_lives_only_inside_its_call(monkeypatch):
+    verify_all(4)
+    assert lab._STORE.get() is None
+    seen = []
+
+    def failing(n, max_n=None):
+        seen.append(lab._STORE.get())
+        raise RuntimeError("claim failed")
+    monkeypatch.setattr(lab, "verify_thm3_count", failing)
+    with pytest.raises(RuntimeError):
+        verify_all(4)
+    assert isinstance(seen[0], _Store)
+    assert lab._STORE.get() is None
+
+
+def test_image_calls_outside_a_scope_share_nothing(monkeypatch):
+    joins = _count_calls(monkeypatch, "_join")
+    image_of_iterate(7, 3)
+    once = len(joins)
+    image_of_iterate(7, 3)
+    assert once > 0 and len(joins) == 2 * once
+
+
+def test_shared_store_matches_brute_oracle_out_of_order():
+    # descending n, then ascending t: the store is asked for levels below
+    # the ones it has already grown, and for passes out of size order
+    with _sharing_levels():
+        for n in range(8, -1, -1):
+            for t in range(1, n + 1):
+                assert {tuple(q) for q in _image(n, t)} == \
+                    _brute_image(n, t), (n, t)
 
 
 def test_image_bounds():
@@ -334,6 +395,17 @@ def test_predicted_image_matches_definition():
 
 def test_count_avoiders_small():
     assert [count_avoiders(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+
+
+def test_count_avoiders_matches_scan_and_bell(monkeypatch):
+    # the scan of S_n is the definition-shaped oracle for the tree count
+    for n in range(11):
+        scan = sum(1 for p in perms(n) if descent_tops_are_lr_maxima(p))
+        assert count_avoiders(n) == scan, n
+    # the bound guards enumeration cost; lift it to follow Bell further
+    monkeypatch.setattr(lab, "HARD_MAX_N", 30)
+    for n in range(31):
+        assert count_avoiders(n, max_n=30) == bell(n), n
 
 
 def test_explore_tables():
