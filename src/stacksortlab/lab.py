@@ -246,39 +246,61 @@ def _sorted_after(level: dict[bytes, int], j: int) -> list[dict[bytes, int]]:
 class _Store:
     """Weighted closure levels, each built at most once: `levels[t][k]` is
     s^t(S_k) for t = 1 or 2, grown one size at a time by `_join`;
-    `after[j]` is `_sorted_after` of s(S_j), grown as `levels[2]` needs
-    it; `passes[(n, t)]` for t >= 3 is one sorting pass over s^{t-1}(S_n).
+    `after[j]` is `_sorted_after` of s(S_j); `passes[n][i]` is
+    s^{i+2}(S_n), one sorting pass over the entry before it, grown as far
+    as asked but never past the first level that holds the identity alone.
+
+    A store made with `keep=False` serves a single image: it drops s(S_j)
+    once the rows are built, drops the joined levels and rows once the
+    passes start, and caches no pass.  What it drops is rebuilt if asked
+    for again.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, keep: bool = True) -> None:
+        self.keep = keep
         self.levels: dict[int, list[dict[bytes, int]]] = {
             1: [{b"": 1}], 2: [{b"": 1}]}
         self.after: list[list[dict[bytes, int]]] = []
-        self.passes: dict[tuple[int, int], dict[bytes, int]] = {}
+        self.passes: dict[int, list[dict[bytes, int]]] = {}
 
     def image(self, n: int, t: int) -> dict[bytes, int]:
         """s^t(S_n) for t >= 1, each element mapped to its number of
         preimages under s^t."""
-        if t >= 3:
-            level = self.passes.get((n, t))
-            if level is None:
-                level = self.image(n, t - 1)
-                if len(level) > 1:  # a pass fixes the identity alone
-                    nxt: dict[bytes, int] = {}
-                    get = nxt.get
-                    for q, w in level.items():
-                        key = bytes(stack_sort(q))
-                        nxt[key] = get(key, 0) + w
-                    level = nxt
-                self.passes[n, t] = level
-            return level
+        if t <= 2:
+            return self._joined(n, t)
+        chain = self.passes.get(n)
+        if chain is None:
+            chain = [self._joined(n, 2)]
+            if self.keep:
+                self.passes[n] = chain
+            else:
+                del self.levels[2][1:], self.after[:]
+        if t - 2 < len(chain):
+            return chain[t - 2]
+        level, u = chain[-1], len(chain) + 1  # level is s^u(S_n)
+        while u < t and len(level) > 1:  # a pass fixes the identity alone
+            nxt: dict[bytes, int] = {}
+            get = nxt.get
+            for q, w in level.items():
+                key = bytes(stack_sort(q))
+                nxt[key] = get(key, 0) + w
+            level, u = nxt, u + 1
+            if self.keep:
+                chain.append(level)
+            else:
+                chain[-1] = level  # hold no earlier level
+        return level
+
+    def _joined(self, n: int, t: int) -> dict[bytes, int]:
         levels = self.levels[t]
-        while len(levels) <= n:
-            k = len(levels)
-            while t == 2 and len(self.after) < k - 1:
+        if t == 2 and len(levels) <= n:
+            while len(self.after) < n - 1:
                 j = len(self.after)
-                self.after.append(_sorted_after(self.image(j, 1), j))
-            levels.append(_join(levels, self.after, k, t))
+                self.after.append(_sorted_after(self._joined(j, 1), j))
+            if not self.keep:
+                del self.levels[1][1:]  # the join reads s(S_j) via the rows
+        while len(levels) <= n:
+            levels.append(_join(levels, self.after, len(levels), t))
         return levels[n]
 
 
@@ -302,7 +324,7 @@ def _image(n: int, t: int) -> dict[bytes, int]:
     preimages under s^t, for t >= 1: the join for u = min(t, 2), then t-u
     passes that add the weights of elements sorted together.  Read from
     the shared store inside `_sharing_levels`, else from a fresh one."""
-    return (_STORE.get() or _Store()).image(n, t)
+    return (_STORE.get() or _Store(keep=False)).image(n, t)
 
 
 def _brute_image(n: int, t: int) -> frozenset[Perm]:

@@ -156,6 +156,11 @@ def test_count_image_csv(capsys):
                             "wall_time"}
 
 
+def test_count_image_large_t(capsys):
+    assert run(["count-image", "--n", "5", "--t", "5000"]) == 0
+    assert out_of(capsys)[0] == "1"
+
+
 def test_count_image_sharded(capsys):
     assert run(["count-image", "--n", "5", "--t", "1", "--shards", "4"]) == 0
     assert out_of(capsys)[0] == "17"

@@ -221,6 +221,32 @@ def test_shared_store_matches_brute_oracle_out_of_order():
                     _brute_image(n, t), (n, t)
 
 
+def test_passes_stop_at_the_identity_for_any_t():
+    # every permutation of [5] is sorted after 4 passes; a larger t must
+    # neither recurse nor loop once per pass
+    assert image_of_iterate(5, 10**4).count == 1
+    assert count_t_stack_sortable(5, 10**4) == 120
+    with _sharing_levels():
+        assert len(_image(5, 10**9)) == 1
+        chain = lab._STORE.get().passes[5]
+        # s^2, s^3 and s^4 of S_5; s^4 = s^{n-1} sorts every permutation
+        assert [len(level) for level in chain] == [
+            len(_brute_image(5, t)) for t in (2, 3, 4)]
+        assert len(chain[-1]) == 1
+        assert _image(5, 3) is chain[1]
+
+
+def test_single_use_store_keeps_only_its_answer():
+    store = _Store(keep=False)
+    image = store.image(7, 4)
+    assert {tuple(q) for q in image} == _brute_image(7, 4)
+    assert store.passes == {} and store.after == []
+    assert store.levels == {1: [{b"": 1}], 2: [{b"": 1}]}
+    store = _Store(keep=False)
+    store.image(7, 2)
+    assert store.levels[1] == [{b"": 1}] and len(store.after) == 6
+
+
 def test_image_bounds():
     with pytest.raises(ResourceBoundError):
         image_of_iterate(11, 1)
