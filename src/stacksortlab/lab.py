@@ -13,10 +13,11 @@ the left part and the entries s(m B), and s(S_n) itself is never built
 for it.  For t >= 3 the single sorting pass is then applied t-2 more
 times.  Weights multiply within a join and add where two preimages meet,
 so the image is the set of keys and the t-stack-sortable count is the
-weight of the identity.  The levels are tiny next to n! (|s(S_9)| =
-11033 and |s^2(S_9)| = 1081 against 362880).  The default bound is
-n <= 10; 11 and 12 are allowed behind an explicit `max_n` with the hard
-cap at 12.  Every image is built in the calling process; the `shards`
+weight of the identity; for t = 1, 2 it sums only the splits that reach
+the identity, so s^t(S_n) is not built.  The levels are tiny next to n!
+(|s(S_9)| = 11033 and |s^2(S_9)| = 1081 against 362880).  The default
+bound is n <= 10; 11 and 12 are allowed behind an explicit `max_n` with
+the hard cap at 12.  Every image is built in the calling process; the `shards`
 arguments are validated and echoed in the reports but change neither the
 result nor how it is built.
 
@@ -50,6 +51,7 @@ from .stacksort import stack_sort, stack_sort_iterate
 
 DEFAULT_MAX_N = 10
 HARD_MAX_N = 12
+KEEP_ALL_MAX_N = 9  # all of S_10 would take about 0.5 GB
 
 
 def _resolve_bound(max_n: int | None) -> int:
@@ -291,14 +293,20 @@ class _Store:
                 chain[-1] = level  # hold no earlier level
         return level
 
+    def rows(self, n: int) -> list[list[dict[bytes, int]]]:
+        """`after[j]` for every j < n, each built once: the rows that the
+        join of s^2(S_{n+1}) reads."""
+        while len(self.after) < n:
+            j = len(self.after)
+            self.after.append(_sorted_after(self._joined(j, 1), j))
+        if not self.keep:
+            del self.levels[1][1:]  # nothing else reads s(S_j)
+        return self.after
+
     def _joined(self, n: int, t: int) -> dict[bytes, int]:
         levels = self.levels[t]
         if t == 2 and len(levels) <= n:
-            while len(self.after) < n - 1:
-                j = len(self.after)
-                self.after.append(_sorted_after(self._joined(j, 1), j))
-            if not self.keep:
-                del self.levels[1][1:]  # the join reads s(S_j) via the rows
+            self.rows(n - 1)
         while len(levels) <= n:
             levels.append(_join(levels, self.after, len(levels), t))
         return levels[n]
@@ -348,18 +356,18 @@ def image_of_iterate(
     value set L), then the sorting pass is applied t-u more times, all in
     the calling process.  `shards` must be >= 1; it is echoed in the
     report and changes neither the image nor how it is built.  Keeping
-    the elements of the 0-fold image (all of S_n) is refused above the
-    default bound of n, whatever `max_n` says.
+    the elements of the 0-fold image (all of S_n) is refused above
+    n = `KEEP_ALL_MAX_N`, whatever `max_n` says.
     """
     _require_within(n, max_n)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    if t == 0 and keep_elements and n > DEFAULT_MAX_N:
+    if t == 0 and keep_elements and n > KEEP_ALL_MAX_N:
         raise ResourceBoundError(
             f"keeping the {n}! elements of S_n (t = 0) is capped at "
-            f"n <= {DEFAULT_MAX_N}; the count alone is allowed")
+            f"n <= {KEEP_ALL_MAX_N}; the count alone is allowed")
     start = time.perf_counter()
     if t == 0:
         # the 0-fold image is all of S_n; nothing to build for a count
@@ -540,16 +548,33 @@ def count_avoiders(n: int, max_n: int | None = None) -> int:
 def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
     """Count of p in S_n fully sorted by t passes, without scanning S_n.
 
-    The image engine weights each element of s^t(S_n) by its number of
-    preimages under s^t (`_image`), so the count is the weight of the
-    identity.  With t = 0 only the identity itself is sorted.
+    The count W_t(n) is the weight of the identity in s^t(S_n).  For
+    t <= 2 it sums only the splits L k R of `_join` that reach the
+    identity.  For t = 1 that needs L = {1..a}, so W_1(k) =
+    sum_{a<k} W_1(a) W_1(k-1-a).  For t = 2, a = 0 gives s^2(R) k, else
+    L - {m} = {1..a-1}, so W_2(k) = W_2(k-1) + sum_{a=1}^{k-1} W_2(a)
+    E(k-a-1), where E(j) sums the identity's weight over `after[j]`.
     """
     _require_within(n, max_n)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return 1
-    return _image(n, t)[bytes(range(1, n + 1))]
+    if t >= 3:
+        return _image(n, t)[bytes(range(1, n + 1))]
+    weights = [1]
+    if t == 1:
+        for k in range(1, n + 1):
+            weights.append(sum(weights[a] * weights[k - 1 - a]
+                               for a in range(k)))
+        return weights[n]
+    after = (_STORE.get() or _Store(keep=False)).rows(n - 1)
+    ends = [sum(out.get(bytes(range(1, j + 2)), 0) for out in after[j])
+            for j in range(n - 1)]
+    for k in range(1, n + 1):
+        weights.append(weights[k - 1] + sum(weights[a] * ends[k - a - 1]
+                                            for a in range(1, k)))
+    return weights[n]
 
 
 def verify_thm3_count(n: int, max_n: int | None = None) -> VerificationReport:

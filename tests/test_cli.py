@@ -265,6 +265,11 @@ def test_resource_error_exit_code(capsys):
     assert run(["count-image", "--n", "11", "--t", "0", "--keep-elements",
                 "--max-n", "11"]) == 3
     assert "resource error:" in out_of(capsys)[1]
+    assert run(["count-image", "--n", "10", "--t", "0",
+                "--keep-elements"]) == 3
+    assert "resource error:" in out_of(capsys)[1]
+    assert run(["count-image", "--n", "10", "--t", "0"]) == 0
+    assert out_of(capsys)[0] == "3628800"
     assert run(["verify", "thm3_count", "--n", "11"]) == 3
     assert "resource error:" in out_of(capsys)[1]
 

@@ -182,9 +182,10 @@ def test_verify_all_builds_each_level_once(monkeypatch):
     joins = _count_calls(monkeypatch, "_join")
     rows = _count_calls(monkeypatch, "_sorted_after")
     assert all(r.passed for r in verify_all(8))
-    # s(S_k) and s^2(S_k) for k = 1..8; the rows of s(S_j) for j = 0..6
-    assert sorted((k, t) for _, _, k, t in joins) == [
-        (k, t) for k in range(1, 9) for t in (1, 2)]
+    # s(S_k) for k = 1..6, read by the rows of s(S_j) for j = 0..6, and
+    # s^2(S_k) for k = 1..8; the sortable counts build no level
+    assert sorted((k, t) for _, _, k, t in joins) == sorted(
+        [(k, 1) for k in range(1, 7)] + [(k, 2) for k in range(1, 9)])
     assert [j for _, j in rows] == list(range(7))
 
 
@@ -255,6 +256,9 @@ def test_image_bounds():
     # all of S_n is only kept up to the default bound; its count is not
     with pytest.raises(ResourceBoundError):
         image_of_iterate(11, 0, keep_elements=True, max_n=11)
+    with pytest.raises(ResourceBoundError):
+        image_of_iterate(10, 0, keep_elements=True)
+    assert image_of_iterate(10, 0).count == 3628800
     assert image_of_iterate(11, 0, max_n=12).count == 39916800
     with pytest.raises(ValueError):
         image_of_iterate(4, -1)
@@ -400,6 +404,36 @@ def test_two_stack_sortable_counts_past_default_bound():
     for n in range(9, 12):
         assert count_t_stack_sortable(n, 2, max_n=11) == \
             west_zeilberger_count(n), n
+
+
+def test_targeted_counts_match_image_weights():
+    # the split sums equal the weight of the identity in the full image,
+    # whether or not a shared store already holds the rows
+    for n in range(11):
+        for t in (1, 2):
+            expected = _image(n, t)[bytes(range(1, n + 1))]
+            assert count_t_stack_sortable(n, t) == expected, (n, t)
+    with _sharing_levels():
+        for n in range(10, -1, -1):
+            for t in (2, 1):
+                assert count_t_stack_sortable(n, t) == \
+                    _image(n, t)[bytes(range(1, n + 1))], (n, t)
+
+
+def test_one_stack_sortable_count_builds_no_level(monkeypatch):
+    def failing(*args):
+        raise AssertionError("the 1-sortable count built a level")
+    monkeypatch.setattr(lab, "_join", failing)
+    monkeypatch.setattr(lab, "_sorted_after", failing)
+    for n in range(13):
+        assert count_t_stack_sortable(n, 1, max_n=12) == catalan(n), n
+
+
+def test_two_stack_sortable_count_builds_no_twice_level(monkeypatch):
+    joins = _count_calls(monkeypatch, "_join")
+    assert count_t_stack_sortable(12, 2, max_n=12) == \
+        west_zeilberger_count(12)
+    assert joins and all(t == 1 for _, _, _, t in joins)
 
 
 def test_count_t_stack_sortable_matches_oracle():
