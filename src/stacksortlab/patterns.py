@@ -204,7 +204,7 @@ def parse_partition(text: str) -> SetPartition:
         block: list[int] = []
         for tok in piece.split(","):
             tok = tok.strip()
-            if not tok.isdecimal() or int(tok) < 1:
+            if not (tok.isascii() and tok.isdecimal()) or int(tok) < 1:
                 raise ParseError(
                     f"block {k}: {tok!r} is not a positive integer",
                     position=k)

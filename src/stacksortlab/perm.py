@@ -133,7 +133,8 @@ def parse_permutation(text: str, max_len: int = MAX_PARSE_LEN) -> Perm:
     entries: list[int] = []
     if any(ch.isspace() for ch in s):
         for idx, tok in enumerate(s.split(), start=1):
-            if not tok.isdecimal() or int(tok) < 1:
+            # ASCII digits only: int() also takes other scripts' digits
+            if not (tok.isascii() and tok.isdecimal()) or int(tok) < 1:
                 raise ParseError(
                     f"entry {idx} ({tok!r}) is not a positive integer",
                     position=idx)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import stacksortlab
 from stacksortlab import lab, parse_permutation
-from stacksortlab.cli import CommandPlan, UsageError, execute, parse_args, run
+from stacksortlab.cli import UsageError, parse_args, run
 from stacksortlab.lab import VerificationReport
 
 
@@ -25,17 +25,17 @@ def out_of(capsys):
 
 
 def test_parse_args_sort_plan():
-    plan = parse_args(["sort", "4162", "--iterations", "1"])
-    assert plan.command == "sort"
-    assert plan.arguments == {"perm": (4, 1, 6, 2), "t": 1}
-    assert plan.output_format == "plain" and not plan.compact
+    ns = parse_args(["sort", "4162", "--iterations", "1"])
+    assert ns.command == "sort"
+    assert ns.perm == (4, 1, 6, 2) and ns.iterations == 1
+    assert not ns.compact
 
 
 def test_parse_args_verify_plan():
-    plan = parse_args(["verify", "theorem1", "--m", "4", "--n", "6"])
-    assert plan.command == "verify"
-    assert plan.arguments["claim"] == "theorem1"
-    assert plan.arguments["m"] == 4 and plan.arguments["n"] == 6
+    ns = parse_args(["verify", "theorem1", "--m", "4", "--n", "6"])
+    assert ns.command == "verify" and ns.claim == "theorem1"
+    assert ns.m == 4 and ns.n == 6 and ns.n_max is None
+    assert ns.format == "plain" and ns.shards == 1
 
 
 def test_parse_args_rejects_unknown_flags():
@@ -48,8 +48,8 @@ def test_parse_args_rejects_unknown_flags():
 
 
 def test_parse_args_spaced_perm_as_separate_argv_words():
-    plan = parse_args(["sort", "4", "1", "6", "2"])
-    assert plan.arguments["perm"] == (4, 1, 6, 2)
+    ns = parse_args(["sort", "4", "1", "6", "2"])
+    assert ns.perm == (4, 1, 6, 2)
 
 
 # simple commands
@@ -236,10 +236,23 @@ def test_parse_error_exit_code(capsys):
     _, err = out_of(capsys)
     assert "character 3" in err
     # "²".isdigit() holds, but int("²") raises ValueError
-    for argv in (["sort", "1", "²"], ["bijection", "{1,²}"]):
+    # int() also takes other scripts' digits, "_", "+" and spaces; the CLI
+    # reads ASCII digits only
+    for argv in (["sort", "1", "²"], ["bijection", "{1,²}"],
+                 ["sort", "٣", "١", "٢"], ["bijection", "{١}{٢}"],
+                 ["stats", "1", "1_0"]):
         assert run(argv) == 1, argv
         _, err = out_of(capsys)
         assert err.startswith("parse error:"), argv
+    for argv in (["count-image", "--n", "1_0", "--t", "9"],
+                 ["sort", "21", "--iterations", "٣"],
+                 ["zeta", "--l", "+3", "--m", "3"],
+                 ["xi", "--l", "3", "--m", " 3"]):
+        assert run(argv) == 1, argv
+        _, err = out_of(capsys)
+        assert err.startswith("usage error:"), argv
+    assert run(["sort", "21", "--iterations", "-1"]) == 1
+    assert "must be nonnegative, got -1" in out_of(capsys)[1]
 
 
 def test_domain_error_exit_code(capsys):
@@ -289,9 +302,13 @@ def test_max_n_env_mirror(capsys, monkeypatch):
     monkeypatch.setenv("STACKSORT_MAX_N", "5")
     assert run(["count-image", "--n", "5", "--t", "1"]) == 0
     assert out_of(capsys)[0] == "17"
-    monkeypatch.setenv("STACKSORT_MAX_N", "banana")
-    assert run(["count-image", "--n", "5", "--t", "1"]) == 1
-    capsys.readouterr()
+    for bad in ("banana", "1_0", "٥", " 5", "0"):
+        monkeypatch.setenv("STACKSORT_MAX_N", bad)
+        assert run(["count-image", "--n", "5", "--t", "1"]) == 1, bad
+        assert out_of(capsys)[1].startswith("usage error: STACKSORT_MAX_N")
+        # only the commands with --max-n read it
+        assert run(["sort", "21"]) == 0, bad
+        assert out_of(capsys) == ("1 2", "")
 
 
 def test_explicit_flag_beats_env(capsys, monkeypatch):
@@ -320,6 +337,28 @@ def test_python_dash_m_runs_the_cli(module):
                           capture_output=True, text=True, timeout=60,
                           env=_env_with_src())
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 4 2 6\n", "")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the csv row is far longer than a pipe holds, so the write is still
+    # under way when the reader closes the pipe after the header.  Unbuffered
+    # text output would drop the rest of a partial write without an error.
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stacksortlab", "count-image", "--n", "9",
+         "--t", "1", "--keep-elements", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline().startswith(b"n,t,count,elements")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""  # no traceback
 
 
 def test_cli_import_loads_no_process_machinery():
@@ -351,7 +390,7 @@ _VALUES = {"--compact": st.just(None), "--keep-elements": st.just(None),
 _TOKENS = ("21", "4162", "35241", "2 1 3", "1 1", "0", "-1", "x", "", "1 ²",
            "{1}{2,3}", "{1}{3}", "{}", "{1,²}", "theorem1", "theorem2",
            "prop2", "thm3_count", "catalan", "west_zeilberger", "all",
-           "--frobnicate")
+           "--frobnicate", "٣ 1", "1_0")
 
 
 @st.composite
@@ -373,11 +412,6 @@ def test_random_argv_maps_to_an_exit_code(argv, monkeypatch):
     # --help is left out of the pool: argparse exits through SystemExit(0)
     monkeypatch.setenv("STACKSORT_MAX_N", "6")
     assert run(argv) in (0, 1, 2, 3), argv
-
-
-def test_execute_requires_known_command():
-    with pytest.raises(UsageError):
-        execute(CommandPlan(command="bogus"))
 
 
 def test_printed_permutations_reparse(capsys):

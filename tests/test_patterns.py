@@ -192,5 +192,9 @@ def test_partition_parse_errors():
     with pytest.raises(ParseError) as exc:
         parse_partition("{1}{2,²}")  # "²".isdigit(), but int("²") fails
     assert exc.value.position == 2
+    for text in ("{1}{٢}", "{1}{2,1_0}", "{1}{+2}"):  # ASCII digits only
+        with pytest.raises(ParseError) as exc:
+            parse_partition(text)
+        assert exc.value.position == 2, text
     with pytest.raises(PreconditionError):
         parse_partition("{1}{3}")

@@ -147,7 +147,9 @@ def test_parse_errors_cite_position():
     with pytest.raises(ParseError):
         parse_permutation(" ".join(str(v) for v in range(1, 22)))
     # "²".isdigit() holds, but int("²") raises ValueError
-    for text in ("1 ²", "1²"):
+    # and other scripts' digits pass str.isdecimal() and int(), but only
+    # ASCII digits are read, in either form
+    for text in ("1 ²", "1²", "1 ٣", "1٣", "1 1_0", "1 +2"):
         with pytest.raises(ParseError) as exc:
             parse_permutation(text)
         assert exc.value.position == 2, text
