@@ -265,6 +265,10 @@ def _lift(ns) -> None:
 
 
 def _family(ns) -> None:
+    if 2 * ns.m - 3 > perm.MAX_PARSE_LEN:
+        raise ResourceBoundError(
+            f"{ns.command} for m = {ns.m} has length {2 * ns.m - 3}, over "
+            f"the {perm.MAX_PARSE_LEN} entries a command reads back")
     # the command name is the construction's name: zeta or xi
     print(_fmt(getattr(constructions, ns.command)(ns.ell, ns.m), ns))
 
@@ -340,6 +344,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:  # console entry point
+    raw = getattr(sys.stdout, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        # unbuffered (`-u`, PYTHONUNBUFFERED): text written straight to the
+        # raw file loses the rest of a short write to a closed pipe, and
+        # with it the error; a buffered writer retries until it raises
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(raw),
+                                      encoding=sys.stdout.encoding,
+                                      errors=sys.stdout.errors)
     try:
         status = run()
         sys.stdout.flush()  # so that a reader's closed pipe shows up here

@@ -22,13 +22,13 @@ arguments are validated and echoed in the reports but change neither the
 result nor how it is built.
 
 A `_Store` holds the levels, the `_sorted_after` rows and the later
-passes, each built at most once.  `verify_all`, `verify_prop2` and
-`explore_open` share one store across every image they ask for: the
-outermost of them opens it and drops it on return.  Any other call
-builds its own store and drops it on return, so no level outlives the
-call that asked for it.  The avoiders of the barred pattern are counted
-by their generating tree, so no production path scans S_n; only
-`_predicted_image` filters S_{n-t}.
+passes, each built at most once and kept until the store is dropped.
+`verify_all`, `verify_prop2` and `explore_open` share one store across
+every image they ask for: the outermost of them opens it and drops it on
+return.  Any other call builds its own store and drops it on return, so
+no level outlives the call that asked for it.  The avoiders of the
+barred pattern are counted by their generating tree, so no production
+path scans S_n; only `_predicted_image` filters S_{n-t}.
 """
 
 from __future__ import annotations
@@ -109,7 +109,9 @@ def catalan(n: int) -> int:
 
 def west_zeilberger_count(n: int) -> int:
     """2 C(3n, n) / ((n+1)(2n+1)): the closed-form count of permutations in
-    S_n sorted by two passes."""
+    S_n sorted by two passes, for n >= 1 (at n = 0 it reads 2, not 1)."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     num = 2 * math.comb(3 * n, n)
     den = (n + 1) * (2 * n + 1)
     q, rem = divmod(num, den)
@@ -246,20 +248,15 @@ def _sorted_after(level: dict[bytes, int], j: int) -> list[dict[bytes, int]]:
 
 
 class _Store:
-    """Weighted closure levels, each built at most once: `levels[t][k]` is
-    s^t(S_k) for t = 1 or 2, grown one size at a time by `_join`;
-    `after[j]` is `_sorted_after` of s(S_j); `passes[n][i]` is
-    s^{i+2}(S_n), one sorting pass over the entry before it, grown as far
-    as asked but never past the first level that holds the identity alone.
-
-    A store made with `keep=False` serves a single image: it drops s(S_j)
-    once the rows are built, drops the joined levels and rows once the
-    passes start, and caches no pass.  What it drops is rebuilt if asked
-    for again.
+    """Weighted closure levels, each built at most once and held until the
+    store is dropped: `levels[t][k]` is s^t(S_k) for t = 1 or 2, grown one
+    size at a time by `_join`; `after[j]` is `_sorted_after` of s(S_j);
+    `passes[n][i]` is s^{i+2}(S_n), one sorting pass over the entry before
+    it, grown as far as asked but never past the first level that holds
+    the identity alone.
     """
 
-    def __init__(self, keep: bool = True) -> None:
-        self.keep = keep
+    def __init__(self) -> None:
         self.levels: dict[int, list[dict[bytes, int]]] = {
             1: [{b"": 1}], 2: [{b"": 1}]}
         self.after: list[list[dict[bytes, int]]] = []
@@ -270,28 +267,16 @@ class _Store:
         preimages under s^t."""
         if t <= 2:
             return self._joined(n, t)
-        chain = self.passes.get(n)
-        if chain is None:
-            chain = [self._joined(n, 2)]
-            if self.keep:
-                self.passes[n] = chain
-            else:
-                del self.levels[2][1:], self.after[:]
-        if t - 2 < len(chain):
-            return chain[t - 2]
-        level, u = chain[-1], len(chain) + 1  # level is s^u(S_n)
-        while u < t and len(level) > 1:  # a pass fixes the identity alone
+        chain = self.passes.setdefault(n, [self._joined(n, 2)])
+        # a pass fixes the identity alone, so no chain grows past it
+        while len(chain) < t - 1 and len(chain[-1]) > 1:
             nxt: dict[bytes, int] = {}
             get = nxt.get
-            for q, w in level.items():
+            for q, w in chain[-1].items():
                 key = bytes(stack_sort(q))
                 nxt[key] = get(key, 0) + w
-            level, u = nxt, u + 1
-            if self.keep:
-                chain.append(level)
-            else:
-                chain[-1] = level  # hold no earlier level
-        return level
+            chain.append(nxt)
+        return chain[min(t - 2, len(chain) - 1)]
 
     def rows(self, n: int) -> list[list[dict[bytes, int]]]:
         """`after[j]` for every j < n, each built once: the rows that the
@@ -299,8 +284,6 @@ class _Store:
         while len(self.after) < n:
             j = len(self.after)
             self.after.append(_sorted_after(self._joined(j, 1), j))
-        if not self.keep:
-            del self.levels[1][1:]  # nothing else reads s(S_j)
         return self.after
 
     def _joined(self, n: int, t: int) -> dict[bytes, int]:
@@ -316,11 +299,16 @@ _STORE: contextvars.ContextVar[_Store | None] = contextvars.ContextVar(
     "_STORE", default=None)
 
 
+def _store() -> _Store:
+    """The store of the enclosing `_sharing_levels` block, else a fresh one."""
+    return _STORE.get() or _Store()
+
+
 @contextlib.contextmanager
 def _sharing_levels() -> Iterator[None]:
     """Share one `_Store` across every image built inside the block; a
     nested block keeps the store of the outermost one."""
-    token = _STORE.set(_STORE.get() or _Store())
+    token = _STORE.set(_store())
     try:
         yield
     finally:
@@ -332,7 +320,7 @@ def _image(n: int, t: int) -> dict[bytes, int]:
     preimages under s^t, for t >= 1: the join for u = min(t, 2), then t-u
     passes that add the weights of elements sorted together.  Read from
     the shared store inside `_sharing_levels`, else from a fresh one."""
-    return (_STORE.get() or _Store(keep=False)).image(n, t)
+    return _store().image(n, t)
 
 
 def _brute_image(n: int, t: int) -> frozenset[Perm]:
@@ -417,13 +405,11 @@ def characterize_membership_rule(
         return True, "oracle-fallback"
     if t >= n - 1:
         return p == identity(n), "oracle-fallback"
-    try:
-        _require_within(n, max_n)
-    except ResourceBoundError:
+    if n > _resolve_bound(max_n):
         raise ResourceBoundError(
             f"membership for n = {n}, t = {t} is outside the characterized "
             f"regimes and over the enumeration bound: undecidable at this "
-            f"scale") from None
+            f"scale")
     report = image_of_iterate(n, t, keep_elements=True, max_n=max_n)
     assert report.elements is not None
     return p in report.elements, "oracle-fallback"
@@ -550,10 +536,11 @@ def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
 
     The count W_t(n) is the weight of the identity in s^t(S_n).  For
     t <= 2 it sums only the splits L k R of `_join` that reach the
-    identity.  For t = 1 that needs L = {1..a}, so W_1(k) =
-    sum_{a<k} W_1(a) W_1(k-1-a).  For t = 2, a = 0 gives s^2(R) k, else
-    L - {m} = {1..a-1}, so W_2(k) = W_2(k-1) + sum_{a=1}^{k-1} W_2(a)
-    E(k-a-1), where E(j) sums the identity's weight over `after[j]`.
+    identity.  L empty gives s^t(R) k; |L| = a >= 1 needs L less its top
+    t-1 values to be {1..a-t+1}.  So W_t(k) = W_t(k-1) +
+    sum_{a=1}^{k-1} W_t(a) F(k-1-a): for t = 1, F = W_1 (the empty split
+    is W_1(0) W_1(k-1)); for t = 2, F(j) sums the identity's weight over
+    `after[j]`.
     """
     _require_within(n, max_n)
     if t < 0:
@@ -563,16 +550,13 @@ def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
     if t >= 3:
         return _image(n, t)[bytes(range(1, n + 1))]
     weights = [1]
-    if t == 1:
-        for k in range(1, n + 1):
-            weights.append(sum(weights[a] * weights[k - 1 - a]
-                               for a in range(k)))
-        return weights[n]
-    after = (_STORE.get() or _Store(keep=False)).rows(n - 1)
-    ends = [sum(out.get(bytes(range(1, j + 2)), 0) for out in after[j])
-            for j in range(n - 1)]
+    follow = weights
+    if t == 2:
+        after = _store().rows(n - 1)
+        follow = [sum(out.get(bytes(range(1, j + 2)), 0) for out in after[j])
+                  for j in range(n - 1)]
     for k in range(1, n + 1):
-        weights.append(weights[k - 1] + sum(weights[a] * ends[k - a - 1]
+        weights.append(weights[k - 1] + sum(weights[a] * follow[k - 1 - a]
                                             for a in range(1, k)))
     return weights[n]
 
@@ -597,6 +581,8 @@ def verify_catalan(n: int, max_n: int | None = None) -> VerificationReport:
 
 def verify_west_zeilberger(n: int, max_n: int | None = None) -> VerificationReport:
     """Check the 2-pass-sortable count against the closed formula."""
+    if n < 1:
+        raise PreconditionError(f"needs n >= 1, got n={n}")
     observed = count_t_stack_sortable(n, 2, max_n=max_n)
     expected = west_zeilberger_count(n)
     return VerificationReport(

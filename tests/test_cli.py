@@ -287,6 +287,25 @@ def test_resource_error_exit_code(capsys):
     assert "resource error:" in out_of(capsys)[1]
 
 
+def test_family_lengths_past_the_parse_limit_are_refused(capsys):
+    # 2m - 3 entries: m = 12 gives 21, one past what `sort` reads back
+    assert run(["zeta", "--l", "3", "--m", "11"]) == 0
+    capsys.readouterr()
+    for name in ("zeta", "xi"):
+        for m in ("12", "1000000000"):
+            assert run([name, "--l", "3", "--m", m]) == 3, (name, m)
+            out, err = out_of(capsys)
+            assert out == "" and err.startswith("resource error: "), err
+
+
+def test_characterize_over_the_hard_cap_says_so(capsys):
+    # n = 6, t = 1 needs the image engine, which the cap refuses first
+    assert run(["characterize", "214365", "--t", "1", "--max-n", "13"]) == 3
+    assert "enumeration bound 13 exceeds the hard cap 12" in out_of(capsys)[1]
+    assert run(["characterize", "2143657", "--t", "1", "--max-n", "6"]) == 3
+    assert "undecidable at this scale" in out_of(capsys)[1]
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["sort", "4162", "--frobnicate"]) == 1
     assert run([]) == 1
@@ -339,12 +358,14 @@ def test_python_dash_m_runs_the_cli(module):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 4 2 6\n", "")
 
 
-def test_closed_stdout_exits_1_without_traceback():
+def _assert_closed_stdout_exits_1(unbuffered: bool) -> None:
     # the csv row is far longer than a pipe holds, so the write is still
     # under way when the reader closes the pipe after the header.  Unbuffered
     # text output would drop the rest of a partial write without an error.
     env = _env_with_src()
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "stacksortlab", "count-image", "--n", "9",
          "--t", "1", "--keep-elements", "--format", "csv"],
@@ -359,6 +380,14 @@ def test_closed_stdout_exits_1_without_traceback():
         proc.wait()
         proc.stderr.close()
     assert err == ""  # no traceback
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    _assert_closed_stdout_exits_1(unbuffered=False)
+
+
+def test_closed_unbuffered_stdout_exits_1_without_traceback():
+    _assert_closed_stdout_exits_1(unbuffered=True)
 
 
 def test_cli_import_loads_no_process_machinery():

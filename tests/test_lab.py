@@ -6,6 +6,7 @@ import pytest
 from conftest import perms
 from stacksortlab import (
     InvalidPermutationError,
+    PreconditionError,
     ResourceBoundError,
     avoids_barred_3241,
     bell,
@@ -69,6 +70,15 @@ def test_catalan_values():
 def test_west_zeilberger_values():
     assert [west_zeilberger_count(n) for n in range(1, 9)] == [
         1, 2, 6, 22, 91, 408, 1938, 9614]
+
+
+def test_west_zeilberger_needs_positive_n():
+    # the closed form reads 2 at n = 0, although |S_0| = 1
+    with pytest.raises(ValueError):
+        west_zeilberger_count(0)
+    with pytest.raises(PreconditionError):
+        verify_west_zeilberger(0)
+    assert count_t_stack_sortable(0, 2) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +245,6 @@ def test_passes_stop_at_the_identity_for_any_t():
             len(_brute_image(5, t)) for t in (2, 3, 4)]
         assert len(chain[-1]) == 1
         assert _image(5, 3) is chain[1]
-
-
-def test_single_use_store_keeps_only_its_answer():
-    store = _Store(keep=False)
-    image = store.image(7, 4)
-    assert {tuple(q) for q in image} == _brute_image(7, 4)
-    assert store.passes == {} and store.after == []
-    assert store.levels == {1: [{b"": 1}], 2: [{b"": 1}]}
-    store = _Store(keep=False)
-    store.image(7, 2)
-    assert store.levels[1] == [{b"": 1}] and len(store.after) == 6
 
 
 def test_image_bounds():
