@@ -20,11 +20,11 @@ from .errors import (InvalidPermutationError, ParseError, PreconditionError,
                      ResourceBoundError)
 
 # each claim's arguments, as namespace names, in the order its
-# `lab.verify_<claim>` takes them; all but `shards` (default 1) must be given
-_CLAIM_ARGS = {"theorem1": ("m", "n", "shards"), "theorem2": ("m", "shards"),
-               "prop2": ("m", "n_max", "shards"), "thm3_count": ("n",),
-               "catalan": ("n",), "west_zeilberger": ("n",)}
-VERIFY_CLAIMS = (*_CLAIM_ARGS, "all")
+# `lab.verify_<claim>` takes them; all must be given, and no other
+_CLAIM_ARGS = {"theorem1": ("m", "n"), "theorem2": ("m",),
+               "prop2": ("m", "n_max"), "thm3_count": ("n",),
+               "catalan": ("n",), "west_zeilberger": ("n",), "all": ()}
+VERIFY_CLAIMS = tuple(_CLAIM_ARGS)
 
 
 class UsageError(Exception):
@@ -113,7 +113,6 @@ def _build_parser() -> _Parser:
                     "t-fold map over S_n|")
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--t", type=_nonneg, required=True)
-    p.add_argument("--shards", type=_positive, default=1)
     p.add_argument("--keep-elements", action="store_true")
     p.add_argument("--max-n", type=_positive, default=None)
     p.add_argument("--format", choices=("plain", "csv", "jsonl"),
@@ -124,7 +123,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=_positive, default=None)
     p.add_argument("--n", type=_positive, default=None)
     p.add_argument("--n-max", type=_positive, default=None)
-    p.add_argument("--shards", type=_positive, default=1)
     p.add_argument("--max-n", type=_positive, default=None)
     p.add_argument("--format", choices=("plain", "csv", "jsonl"),
                    default="plain")
@@ -132,7 +130,6 @@ def _build_parser() -> _Parser:
     p = add_command("explore", _explore, "image sizes across the open "
                     "window m <= n <= 2m-2")
     p.add_argument("--m", type=_positive, required=True)
-    p.add_argument("--shards", type=_positive, default=1)
     p.add_argument("--max-n", type=_positive, default=None)
     p.add_argument("--format", choices=("plain", "csv", "jsonl"),
                    default="plain")
@@ -286,25 +283,24 @@ def _bijection(ns) -> None:
 def _count_image(ns) -> None:
     _warn_bound(ns.max_n)
     report = lab.image_of_iterate(ns.n, ns.t, keep_elements=ns.keep_elements,
-                                  shards=ns.shards, max_n=ns.max_n)
+                                  max_n=ns.max_n)
     _emit_records([report.as_record()], ns.format, [str(report.count)])
 
 
 def _verify(ns) -> int:
     _warn_bound(ns.max_n)
+    names = _CLAIM_ARGS[ns.claim]
+    given = [x for x in ("m", "n", "n_max") if getattr(ns, x) is not None]
+    for verb, bad in (("does not take", [x for x in given if x not in names]),
+                      ("requires", [x for x in names if x not in given])):
+        if bad:
+            flags = ", ".join("--" + x.replace("_", "-") for x in bad)
+            raise UsageError(f"verify {ns.claim} {verb} {flags}")
     if ns.claim == "all":
-        reports = lab.verify_all(ns.max_n or lab.DEFAULT_MAX_N,
-                                 shards=ns.shards)
+        reports = lab.verify_all(ns.max_n or lab.DEFAULT_MAX_N)
     else:
-        args = [getattr(ns, name) for name in _CLAIM_ARGS[ns.claim]]
-        missing = [name for name, value in zip(_CLAIM_ARGS[ns.claim], args)
-                   if value is None]
-        if missing:
-            flags = ", ".join("--" + name.replace("_", "-")
-                              for name in missing)
-            raise UsageError(f"verify {ns.claim} requires {flags}")
         claim = getattr(lab, f"verify_{ns.claim}")
-        reports = [claim(*args, max_n=ns.max_n)]
+        reports = [claim(*(getattr(ns, x) for x in names), max_n=ns.max_n)]
     _emit_records([r.as_record() for r in reports], ns.format,
                   [_verify_plain_line(r) for r in reports])
     return 1 if any(not r.passed for r in reports) else 0
@@ -312,7 +308,7 @@ def _verify(ns) -> int:
 
 def _explore(ns) -> None:
     _warn_bound(ns.max_n)
-    rows = lab.explore_open(ns.m, shards=ns.shards, max_n=ns.max_n)
+    rows = lab.explore_open(ns.m, max_n=ns.max_n)
     plain = ["n t count"] + [f"{r.n} {r.t} {r.count}" for r in rows]
     _emit_records([r.as_record() for r in rows], ns.format, plain)
 
@@ -355,9 +351,12 @@ def main() -> None:  # console entry point
     try:
         status = run()
         sys.stdout.flush()  # so that a reader's closed pipe shows up here
-    except BrokenPipeError:
-        # the interpreter flushes stdout again at exit; send that to devnull
-        # so that it does not raise a second time
+    except OSError as exc:
+        # a reader's closed pipe stays silent.  The interpreter flushes
+        # stdout again at exit; send that to devnull so that it does not
+        # raise a second time
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
     sys.exit(status)

@@ -17,9 +17,7 @@ weight of the identity; for t = 1, 2 it sums only the splits that reach
 the identity, so s^t(S_n) is not built.  The levels are tiny next to n!
 (|s(S_9)| = 11033 and |s^2(S_9)| = 1081 against 362880).  The default
 bound is n <= 10; 11 and 12 are allowed behind an explicit `max_n` with
-the hard cap at 12.  Every image is built in the calling process; the `shards`
-arguments are validated and echoed in the reports but change neither the
-result nor how it is built.
+the hard cap at 12.  Every image is built in the calling process.
 
 A `_Store` holds the levels, the `_sorted_after` rows and the later
 passes, each built at most once and kept until the store is dropped.
@@ -126,21 +124,18 @@ def west_zeilberger_count(n: int) -> int:
 class ImageReport:
     """Exact result of enumerating the image of the t-fold sorting map over
     S_n.  `elements` is retained only on request; `count` always equals the
-    deduplicated image size.  `shards` echoes the requested value, which
-    does not affect the result."""
+    deduplicated image size."""
 
     n: int
     t: int
     count: int
     elements: frozenset[Perm] | None
-    shards: int
     wall_time: float
 
     def as_record(self) -> dict:
         rec: dict = {
             "n": self.n, "t": self.t, "count": self.count,
-            "elements": None, "shards": self.shards,
-            "wall_time": self.wall_time,
+            "elements": None, "wall_time": self.wall_time,
         }
         if self.elements is not None:
             rec["elements"] = [" ".join(map(str, p)) for p in sorted(self.elements)]
@@ -342,10 +337,10 @@ def image_of_iterate(
     s^u(S_n), u = min(t, 2), is joined from the smaller images of the
     same u (`_join`, which peels p = min(u-1, |L|) values off each left
     value set L), then the sorting pass is applied t-u more times, all in
-    the calling process.  `shards` must be >= 1; it is echoed in the
-    report and changes neither the image nor how it is built.  Keeping
-    the elements of the 0-fold image (all of S_n) is refused above
-    n = `KEEP_ALL_MAX_N`, whatever `max_n` says.
+    the calling process.  Keeping the elements of the 0-fold image (all
+    of S_n) is refused above n = `KEEP_ALL_MAX_N`, whatever `max_n` says.
+    `shards` must be >= 1 and is otherwise ignored; ROADMAP item 6
+    removes it together with the benchmark plans that pass it.
     """
     _require_within(n, max_n)
     if t < 0:
@@ -361,12 +356,11 @@ def image_of_iterate(
         # the 0-fold image is all of S_n; nothing to build for a count
         elements = frozenset(_standard_perms(n)) if keep_elements else None
         return ImageReport(n=n, t=t, count=math.factorial(n),
-                           elements=elements, shards=shards,
-                           wall_time=time.perf_counter() - start)
+                           elements=elements, wall_time=time.perf_counter() - start)
     image = _image(n, t)
     elements = frozenset(tuple(code) for code in image) if keep_elements else None
     return ImageReport(n=n, t=t, count=len(image), elements=elements,
-                       shards=shards, wall_time=time.perf_counter() - start)
+                       wall_time=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +422,14 @@ def _predicted_image(n: int, t: int) -> frozenset[Perm]:
                      if descent_tops_are_lr_maxima(q))
 
 
-def verify_theorem1(m: int, n: int, shards: int = 1,
+def verify_theorem1(m: int, n: int,
                     max_n: int | None = None) -> VerificationReport:
     """Check |image of the (n-m)-fold map over S_n| = B_m for n >= 2m-2,
     including element-by-element equality with the characterized set."""
     if m < 1 or n < m or n < 2 * m - 2:
         raise PreconditionError(
             f"needs 1 <= m <= n and n >= 2m-2, got m={m}, n={n}")
-    report = image_of_iterate(n, n - m, keep_elements=True, shards=shards,
-                              max_n=max_n)
+    report = image_of_iterate(n, n - m, keep_elements=True, max_n=max_n)
     assert report.elements is not None
     predicted = _predicted_image(n, n - m)
     expected = bell(m)
@@ -449,8 +442,7 @@ def verify_theorem1(m: int, n: int, shards: int = 1,
         passed=(expected == observed) and set_equal)
 
 
-def verify_theorem2(m: int, shards: int = 1,
-                    max_n: int | None = None) -> VerificationReport:
+def verify_theorem2(m: int, max_n: int | None = None) -> VerificationReport:
     """Check |image of the (m-3)-fold map over S_{2m-3}| = B_m + m - 2,
     with the image equal to the characterized set plus exactly the zeta
     family (which are precisely the image elements containing the barred
@@ -458,8 +450,7 @@ def verify_theorem2(m: int, shards: int = 1,
     if m < 3:
         raise PreconditionError(f"needs m >= 3, got m={m}")
     n = 2 * m - 3
-    report = image_of_iterate(n, m - 3, keep_elements=True, shards=shards,
-                              max_n=max_n)
+    report = image_of_iterate(n, m - 3, keep_elements=True, max_n=max_n)
     assert report.elements is not None
     characterized = _predicted_image(n, m - 3)
     zetas = frozenset(zeta(ell, m) for ell in range(3, m + 1))
@@ -477,7 +468,7 @@ def verify_theorem2(m: int, shards: int = 1,
         passed=(expected == observed) and set_equal and zeta_exact)
 
 
-def verify_prop2(m: int, n_max: int, shards: int = 1,
+def verify_prop2(m: int, n_max: int,
                  max_n: int | None = None) -> VerificationReport:
     """Check that |image of the (n-m)-fold map over S_n| is nonincreasing
     in n, and at least B_m + m - 2 for m <= n <= 2m-3.  expected/observed
@@ -487,8 +478,7 @@ def verify_prop2(m: int, n_max: int, shards: int = 1,
         raise PreconditionError(
             f"needs 1 <= m <= n_max, got m={m}, n_max={n_max}")
     with _sharing_levels():
-        counts = [image_of_iterate(n, n - m, shards=shards,
-                                   max_n=max_n).count
+        counts = [image_of_iterate(n, n - m, max_n=max_n).count
                   for n in range(m, n_max + 1)]
     checks = 0
     passed = 0
@@ -592,22 +582,25 @@ def verify_west_zeilberger(n: int, max_n: int | None = None) -> VerificationRepo
 
 def verify_all(max_n: int, shards: int = 1) -> list[VerificationReport]:
     """Every verification claim instantiated over all parameters that fit
-    within the bound."""
+    within the bound.  `shards` must be >= 1 and is otherwise ignored;
+    ROADMAP item 6 removes it together with the benchmark plans that
+    pass it."""
     _resolve_bound(max_n)
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
     with _sharing_levels():
         reports: list[VerificationReport] = []
         m = 1
         while max(m, 2 * m - 2) <= max_n:
             for n in range(max(m, 2 * m - 2), max_n + 1):
-                reports.append(verify_theorem1(m, n, shards=shards,
-                                               max_n=max_n))
+                reports.append(verify_theorem1(m, n, max_n=max_n))
             m += 1
         m = 3
         while 2 * m - 3 <= max_n:
-            reports.append(verify_theorem2(m, shards=shards, max_n=max_n))
+            reports.append(verify_theorem2(m, max_n=max_n))
             m += 1
         for m in range(1, min(4, max_n) + 1):
-            reports.append(verify_prop2(m, max_n, shards=shards, max_n=max_n))
+            reports.append(verify_prop2(m, max_n, max_n=max_n))
         for n in range(1, max_n + 1):
             reports.append(verify_thm3_count(n, max_n=max_n))
         for n in range(1, max_n + 1):
@@ -617,8 +610,7 @@ def verify_all(max_n: int, shards: int = 1) -> list[VerificationReport]:
         return reports
 
 
-def explore_open(m: int, shards: int = 1,
-                 max_n: int | None = None) -> list[ImageReport]:
+def explore_open(m: int, max_n: int | None = None) -> list[ImageReport]:
     """Image sizes of the (n-m)-fold map for m <= n <= 2m-2: the window the
     characterizations leave open in the middle.
 
@@ -630,7 +622,7 @@ def explore_open(m: int, shards: int = 1,
         raise PreconditionError(f"m must be positive, got {m}")
     _require_within(max(m, 2 * m - 2), max_n)
     with _sharing_levels():
-        rows = [image_of_iterate(n, n - m, shards=shards, max_n=max_n)
+        rows = [image_of_iterate(n, n - m, max_n=max_n)
                 for n in range(m, 2 * m - 1)]
     if rows:
         if rows[0].count != math.factorial(m):

@@ -35,7 +35,7 @@ def test_parse_args_verify_plan():
     ns = parse_args(["verify", "theorem1", "--m", "4", "--n", "6"])
     assert ns.command == "verify" and ns.claim == "theorem1"
     assert ns.m == 4 and ns.n == 6 and ns.n_max is None
-    assert ns.format == "plain" and ns.shards == 1
+    assert ns.format == "plain" and "shards" not in ns
 
 
 def test_parse_args_rejects_unknown_flags():
@@ -141,7 +141,8 @@ def test_count_image_jsonl(capsys):
     out, _ = out_of(capsys)
     rec = json.loads(out)
     assert rec["n"] == 4 and rec["t"] == 1 and rec["count"] == 5
-    assert rec["shards"] == 1 and rec["wall_time"] >= 0
+    assert set(rec) == {"n", "t", "count", "elements", "wall_time"}
+    assert rec["wall_time"] >= 0
     assert len(rec["elements"]) == 5
     assert "1 2 3 4" in rec["elements"]
 
@@ -152,8 +153,7 @@ def test_count_image_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
     assert rows[0]["count"] == "2"
-    assert set(rows[0]) == {"n", "t", "count", "elements", "shards",
-                            "wall_time"}
+    assert set(rows[0]) == {"n", "t", "count", "elements", "wall_time"}
 
 
 def test_count_image_large_t(capsys):
@@ -162,8 +162,12 @@ def test_count_image_large_t(capsys):
 
 
 def test_count_image_sharded(capsys):
-    assert run(["count-image", "--n", "5", "--t", "1", "--shards", "4"]) == 0
-    assert out_of(capsys)[0] == "17"
+    # no command takes `--shards`
+    for argv in (["count-image", "--n", "5", "--t", "1"],
+                 ["verify", "theorem2", "--m", "3"], ["explore", "--m", "3"]):
+        assert run([*argv, "--shards", "4"]) == 1, argv
+        out, err = out_of(capsys)
+        assert out == "" and err.startswith("usage error:"), argv
 
 
 def test_verify_command(capsys):
@@ -213,6 +217,17 @@ def test_verify_missing_arguments(capsys):
     assert run(["verify", "theorem1", "--m", "4"]) == 1
     _, err = out_of(capsys)
     assert "--n" in err
+
+
+def test_verify_refuses_flags_its_claim_does_not_read(capsys):
+    assert run(["verify", "all", "--n", "12"]) == 1
+    assert out_of(capsys) == ("", "usage error: verify all does not take --n\n")
+    assert run(["verify", "catalan", "--n", "5", "--m", "3",
+                "--n-max", "2"]) == 1
+    out, err = out_of(capsys)
+    assert out == "" and err.startswith("usage error:")
+    assert "--m" in err and "--n-max" in err
+    assert run(["verify", "all", "--max-n", "4"]) == 0
 
 
 def test_explore_plain_and_csv(capsys):
@@ -390,6 +405,24 @@ def test_closed_unbuffered_stdout_exits_1_without_traceback():
     _assert_closed_stdout_exits_1(unbuffered=True)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that fails every write")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_failed_stdout_write_exits_1_without_traceback(unbuffered):
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "stacksortlab", "sort",
+                               "4162"], stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output:")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_cli_import_loads_no_process_machinery():
     # every command starts a fresh interpreter, so each module the import
     # pulls in is paid on every run
@@ -408,10 +441,9 @@ _FLAGS = {
     "preimage": ("--compact",), "lift": ("--t", "--compact"),
     "zeta": ("--l", "--m", "--compact"), "xi": ("--l", "--m", "--compact"),
     "bijection": ("--compact",),
-    "count-image": ("--n", "--t", "--shards", "--keep-elements", "--format",
-                    "--max-n"),
-    "verify": ("--m", "--n", "--n-max", "--shards", "--format", "--max-n"),
-    "explore": ("--m", "--shards", "--format", "--max-n"), "bogus": (),
+    "count-image": ("--n", "--t", "--keep-elements", "--format", "--max-n"),
+    "verify": ("--m", "--n", "--n-max", "--format", "--max-n"),
+    "explore": ("--m", "--format", "--max-n"), "bogus": (),
 }
 # every other flag takes an integer in -1..6: no argv enumerates past S_6
 _VALUES = {"--compact": st.just(None), "--keep-elements": st.just(None),

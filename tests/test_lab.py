@@ -107,7 +107,7 @@ def test_image_degenerate_sizes():
 
 def test_image_metadata():
     report = image_of_iterate(4, 2, shards=3, keep_elements=True)
-    assert report.n == 4 and report.t == 2 and report.shards == 3
+    assert report.n == 4 and report.t == 2
     assert report.wall_time >= 0.0
     assert report.count == len(report.elements)
 
@@ -134,6 +134,13 @@ def test_image_matches_brute_oracle():
 def test_verify_all_with_shards_passes():
     reports = verify_all(8, shards=2)
     assert len(reports) == 55 and all(r.passed for r in reports)
+
+
+def test_shards_below_one_is_refused():
+    with pytest.raises(ValueError, match="shards"):
+        image_of_iterate(3, 1, shards=0)
+    with pytest.raises(ValueError, match="shards"):
+        verify_all(3, shards=0)
 
 
 def test_sorted_image_sizes():
@@ -267,7 +274,7 @@ def test_image_report_record():
     rec = image_of_iterate(3, 1, keep_elements=True).as_record()
     assert rec["count"] == 2
     assert rec["elements"] == ["1 2 3", "2 1 3"]
-    assert set(rec) == {"n", "t", "count", "elements", "shards", "wall_time"}
+    assert set(rec) == {"n", "t", "count", "elements", "wall_time"}
 
 
 # ---------------------------------------------------------------------------
