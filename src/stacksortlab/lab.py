@@ -2,31 +2,36 @@
 t-stack-sortable permutations, and the verification suites built on them.
 
 Everything here is exact integer arithmetic, and no engine sorts all n!
-permutations.  One engine answers both questions: every level is a dict
-mapping a byte-packed permutation (one byte per entry) to its number of
-preimages under s^t.  One join builds s^t(S_n), t = 1 or 2, from the
-levels of smaller sizes over the left value sets L of L n R.  It peels
-the top p = min(t-1, |L|) values off L: with p = 0, s(L n R) =
-s(L) s(R) n; with p = 1 and m = max L, s^2(L n R) = s(A') s(m B) n, where
-A' is s(L) less its final m and B = s(R), so s^2(S_n) comes from s^2 of
-the left part and the entries s(m B), and s(S_n) itself is never built
-for it.  For t >= 3 the single sorting pass is then applied t-2 more
-times.  Weights multiply within a join and add where two preimages meet,
-so the image is the set of keys and the t-stack-sortable count is the
-weight of the identity; for t = 1, 2 it sums only the splits that reach
-the identity, so s^t(S_n) is not built.  The levels are tiny next to n!
-(|s(S_9)| = 11033 and |s^2(S_9)| = 1081 against 362880).  The default
-bound is n <= 10; 11 and 12 are allowed behind an explicit `max_n` with
-the hard cap at 12.  Every image is built in the calling process.
+permutations.  Each question has its own engine; both build s^t(S_n)
+from the levels of smaller sizes over the splits L n R, where a
+left-to-right maximum empties the stack.  Permutations are byte-packed,
+one byte per entry.
 
-A `_Store` holds the levels, the `_sorted_after` rows and the later
-passes, each built at most once and kept until the store is dropped.
-`verify_all`, `verify_prop2` and `explore_open` share one store across
-every image they ask for: the outermost of them opens it and drops it on
-return.  Any other call builds its own store and drops it on return, so
-no level outlives the call that asked for it.  The avoiders of the
-barred pattern are counted by their generating tree, so no production
-path scans S_n; only `_predicted_image` filters S_{n-t}.
+- Images are sets.  `_peel_join` builds s^t(S_n) for any t >= 1 in one
+  t-fold join: with |L| >= t it peels the top t-1 values off L, so the
+  element is s^t(L) less its last t-1 entries, then one entry of a
+  nested-insertion table, then n; all L with |L| < t together give
+  s^t(S_{n-1}) n.  Both factors depend only on the kept part of L, so
+  the join loops over kept sets, and the cost follows m = n - t.
+- Counts are weights.  `_join` maps each element of s^t(S_n), t = 1 or
+  2, to its number of preimages, over every L; t >= 3 applies the
+  sorting pass t-2 more times to s^2(S_n).  The t-stack-sortable count
+  is the weight of the identity; for t = 1, 2 it sums only the splits
+  that reach the identity, so s^t(S_n) is not built.
+
+The levels are tiny next to n! (|s(S_9)| = 11033 and |s^2(S_9)| = 1081
+against 362880).  The default bound is n <= 10; 11 and 12 are allowed
+behind an explicit `max_n` with the hard cap at 12.  Every image is
+built in the calling process.
+
+A `_Store` holds both engines' levels and tables, each built at most
+once and kept until the store is dropped.  `verify_all`, `verify_prop2`
+and `explore_open` share one store across every image they ask for: the
+outermost of them opens it and drops it on return.  Any other call
+builds its own store and drops it on return, so no level outlives the
+call that asked for it.  The avoiders of the barred pattern are counted
+by their generating tree, so no production path scans S_n; only
+`_predicted_image` filters S_{n-t}.
 """
 
 from __future__ import annotations
@@ -172,6 +177,78 @@ def _relabel_table(values: Sequence[int]) -> bytes:
     return bytes.maketrans(bytes(range(1, len(values) + 1)), bytes(values))
 
 
+def _peel_join(store: _Store, k: int, t: int) -> set[bytes]:
+    """s^t(S_k) for t >= 1 as a set, joined over the kept sets K of the
+    left value sets L of L k R; `store.sets[t][j]` is s^t(S_j) for j < k.
+
+    With p = t-1 and v_1 > ... > v_p the top p values of L, once |L| >= t
+    the last p entries of s^t(L) are v_p ... v_1, and a left-to-right
+    maximum empties the stack, so s^t(L k R) = strip_p(s^t(L)) T k with
+    T = s(v_p ... s(v_1 s(R))).  The kept set K = L less its top p values
+    fixes both factors' value sets: the first is s^t(S_|L|) less its last
+    p entries, relabelled onto K; the second is the union U(r, p, q) of
+    `store.union`, relabelled onto the rest of [k-1], with r = |R| and
+    q = max K - |K| the values of the rest below max K, which no v may
+    take.  So the join loops over K, not over L.  Every L with |L| < t
+    together gives s^t(S_{k-1}) k, which the store already holds.
+    """
+    p = t - 1
+    levels = store.sets[t]
+    top = bytes([k])
+    out = {x + top for x in levels[k - 1]}
+    for size in range(1, k - p):
+        lefts = [x[:size] for x in levels[size + p]]  # drops v_p ... v_1
+        r = k - 1 - size - p
+        for kept in itertools.combinations(range(1, k - p), size):
+            lt = _relabel_table(kept)
+            rt = _relabel_table([v for v in range(1, k) if v not in kept])
+            rights = [y.translate(rt) + top
+                      for y in store.union(r, p, kept[-1] - size)]
+            xs = [x.translate(lt) for x in lefts]
+            out.update(map(b"".join, itertools.product(xs, rights)))
+    return out
+
+
+def _put_below(b: bytes, skips: list[tuple[int, bytes, bytes]]) -> list[bytes]:
+    """s(r b) for each (r, skip, head) of `skips` (see `_skips`), with b
+    relabelled onto {1..len(b)+1} minus r.
+
+    One sort serves every r: r leaves the stack when the first entry of b
+    above it arrives, which is when the entries before that one are
+    flushed anyway, so s(r b) is s(b) with r put in at that entry's index.
+    """
+    sorted_b = bytes(stack_sort(b))
+    out = []
+    i = 0
+    j = len(b)
+    for r, skip, head in skips:
+        while i < j and b[i] < r:  # b[i] >= r is relabelled above r
+            i += 1
+        x = sorted_b.translate(skip)
+        out.append(x[:i] + head + x[i:])
+    return out
+
+
+def _skips(j: int, below: int) -> list[tuple[int, bytes, bytes]]:
+    """For r = 1..below: r, the table relabelling a length-j entry onto
+    {1..j+1} minus r, and r packed."""
+    return [(r, _relabel_table([v for v in range(1, j + 2) if v != r]),
+             bytes([r])) for r in range(1, below + 1)]
+
+
+def _sorted_after(level: dict[bytes, int], j: int) -> list[dict[bytes, int]]:
+    """`row[r-1]` maps s(r b), b in s(S_j) relabelled onto {1..j+1} minus
+    r, to the summed fertility of the b that reach it, for r = 1..j+1: the
+    right-hand factors of the weighted join for t = 2, standardized.
+    `level` is s(S_j) with fertilities."""
+    row: list[dict[bytes, int]] = [{} for _ in range(j + 1)]
+    skips = _skips(j, j + 1)
+    for b, w in level.items():
+        for out, key in zip(row, _put_below(b, skips)):
+            out[key] = out.get(key, 0) + w
+    return row
+
+
 def _join(levels: list[dict[bytes, int]],
           after: list[list[dict[bytes, int]]],
           k: int, t: int) -> dict[bytes, int]:
@@ -180,19 +257,14 @@ def _join(levels: list[dict[bytes, int]],
     {1..k-1}, of L k R.  `levels[j]` is s^t(S_j) for j < k; `after[j]` is
     `_sorted_after` of s(S_j) for j <= k-2 (read only when t = 2).
 
-    The join peels the top p = min(t-1, |L|) values off L; `kept` is the
-    rest of L.  Every member of s^t(S_|L|) ends in its top p values, so
-    deleting them (`peeled`) drops its last p entries.  With p = 0,
-    s(L k R) = s(L) s(R) k: each member of s^t(S_|L|) relabelled onto L is
-    followed by each member of s^t(S_|R|) relabelled onto R.  With p = 1
-    and m = max L, A = s(L) ends in m, and once the second pass has read A
-    its stack holds m alone, so s^2(L k R) = s(A') s(m B) k with A' = A
-    less m and B = s(R), and s(A') m is s^2(L).  So each member of
-    s^2(S_|L|) less its last entry, relabelled onto `kept`, is followed by
-    each s(m B) from `after`, relabelled onto R + {m}.  Either way k comes
-    last.  The preimages with a fixed L pair one preimage of each factor,
-    so weights multiply; different L give disjoint preimages, so their
-    weights add where they reach the same element.
+    This is `_peel_join` with weights and p = min(t-1, |L|): with p = 0,
+    s(L k R) = s(L) s(R) k; with p = 1 and m = max L, s^2(L k R) =
+    s(A') s(m B) k with A' = s(L) less m and B = s(R), and s(A') m is
+    s^2(L).  The preimages with a fixed L pair one preimage of each
+    factor, so weights multiply; different L give disjoint preimages, so
+    their weights add where they reach the same element.  The weights of
+    |L| < t do not collapse onto s^t(S_{k-1}) k as the sets do, so this
+    join loops over L.
     """
     out: dict[bytes, int] = {}
     get = out.get
@@ -216,48 +288,77 @@ def _join(levels: list[dict[bytes, int]],
     return out
 
 
-def _sorted_after(level: dict[bytes, int], j: int) -> list[dict[bytes, int]]:
-    """`row[r-1]` maps s(r b), b in s(S_j) relabelled onto {1..j+1} minus
-    r, to the summed fertility of the b that reach it, for r = 1..j+1: the
-    right-hand factors of the join for t = 2, standardized.  `level` is
-    s(S_j) with fertilities.
-
-    One sort per b serves every r: r leaves the stack when the first entry
-    of b above it arrives, which is when the entries before that one are
-    flushed anyway, so s(r b) is s(b) with r put in at that entry's index.
-    """
-    ranks = range(1, j + 2)
-    skips = [_relabel_table([v for v in ranks if v != r]) for r in ranks]
-    heads = [bytes([r]) for r in ranks]
-    row: list[dict[bytes, int]] = [{} for _ in ranks]
-    for b, w in level.items():
-        sorted_b = bytes(stack_sort(b))
-        i = 0
-        for r, skip, head, out in zip(ranks, skips, heads, row):
-            while i < j and b[i] < r:  # b[i] >= r is relabelled above r
-                i += 1
-            x = sorted_b.translate(skip)
-            key = x[:i] + head + x[i:]
-            out[key] = out.get(key, 0) + w
-    return row
-
-
 class _Store:
-    """Weighted closure levels, each built at most once and held until the
-    store is dropped: `levels[t][k]` is s^t(S_k) for t = 1 or 2, grown one
-    size at a time by `_join`; `after[j]` is `_sorted_after` of s(S_j);
-    `passes[n][i]` is s^{i+2}(S_n), one sorting pass over the entry before
-    it, grown as far as asked but never past the first level that holds
-    the identity alone.
+    """Levels and tables, each built at most once and held until the
+    store is dropped.  Images: `sets[t][k]` is s^t(S_k), grown one size
+    at a time by `_peel_join`; `tables[r, ranks]` is T(r, ranks), the
+    set of s(v_p ... s(v_1 s(R))) over s(R) in s(S_r), standardized,
+    where v_1 > ... > v_p have the ranks `ranks` among R and the v's;
+    `unions[r, p]` holds U(r, p, q) for every q.  Counts: `levels[t][k]`
+    is s^t(S_k), t = 1 or 2, with preimage weights, grown by `_join`;
+    `after[j]` is `_sorted_after` of s(S_j); `passes[n][i]` is
+    s^{i+2}(S_n), one sorting pass over the entry before it, never grown
+    past the first that holds the identity alone.
     """
 
     def __init__(self) -> None:
+        self.sets: dict[int, list[set[bytes]]] = {}
+        self.tables: dict[tuple[int, tuple[int, ...]], set[bytes]] = {}
+        self.unions: dict[tuple[int, int], tuple[list[bytes], list[int]]] = {}
         self.levels: dict[int, list[dict[bytes, int]]] = {
             1: [{b"": 1}], 2: [{b"": 1}]}
         self.after: list[list[dict[bytes, int]]] = []
         self.passes: dict[int, list[dict[bytes, int]]] = {}
 
-    def image(self, n: int, t: int) -> dict[bytes, int]:
+    def image(self, n: int, t: int) -> set[bytes]:
+        """s^t(S_n) for t >= 1.  Past t = n-1 every image is the identity
+        alone, so t is clamped there and no level is built past it."""
+        t = min(t, max(n - 1, 1))
+        levels = self.sets.setdefault(t, [{b""}])
+        while len(levels) <= n:
+            levels.append(_peel_join(self, len(levels), t))
+        return levels[n]
+
+    def table(self, r: int, ranks: tuple[int, ...]) -> set[bytes]:
+        """T(r, ranks) for decreasing `ranks`; T(r, ()) is s(S_r).  The
+        children of a table, one per rank below its last, are built
+        together by one `_put_below` per element."""
+        if not ranks:
+            return self.image(r, 1)
+        if (r, ranks) not in self.tables:
+            parent = tuple(v - 1 for v in ranks[:-1])
+            below = parent[-1] if parent else r + 1
+            children: list[set[bytes]] = [set() for _ in range(below)]
+            skips = _skips(r + len(parent), below)
+            for c in self.table(r, parent):
+                for out, key in zip(children, _put_below(c, skips)):
+                    out.add(key)
+            for rank, child in enumerate(children, 1):
+                self.tables[r, ranks[:-1] + (rank,)] = child
+        return self.tables[r, ranks]
+
+    def union(self, r: int, p: int, q: int) -> list[bytes]:
+        """U(r, p, q): the union of the T(r, ranks) with all p ranks in
+        q+1..r+p.  It shrinks as q grows, so one list serves every q."""
+        if p == 0:
+            return list(self.image(r, 1))
+        if (r, p) not in self.unions:
+            seen: set[bytes] = set()
+            order: list[bytes] = []
+            ends = [0] * (r + 1)
+            for low in range(r, -1, -1):
+                # the rank sets whose smallest rank is low + 1
+                for upper in itertools.combinations(
+                        range(r + p, low + 1, -1), p - 1):
+                    fresh = self.table(r, upper + (low + 1,)) - seen
+                    seen |= fresh
+                    order.extend(fresh)
+                ends[low] = len(order)
+            self.unions[r, p] = order, ends
+        order, ends = self.unions[r, p]
+        return order[:ends[q]]
+
+    def weights(self, n: int, t: int) -> dict[bytes, int]:
         """s^t(S_n) for t >= 1, each element mapped to its number of
         preimages under s^t."""
         if t <= 2:
@@ -310,12 +411,19 @@ def _sharing_levels() -> Iterator[None]:
         _STORE.reset(token)
 
 
-def _image(n: int, t: int) -> dict[bytes, int]:
-    """s^t(S_n), byte-packed, each element mapped to its number of
-    preimages under s^t, for t >= 1: the join for u = min(t, 2), then t-u
-    passes that add the weights of elements sorted together.  Read from
-    the shared store inside `_sharing_levels`, else from a fresh one."""
+def _image(n: int, t: int) -> set[bytes]:
+    """s^t(S_n), byte-packed, for t >= 1, by the set join `_peel_join`.
+    Read from the shared store inside `_sharing_levels`, else from a fresh
+    one."""
     return _store().image(n, t)
+
+
+def _weights(n: int, t: int) -> dict[bytes, int]:
+    """s^t(S_n), byte-packed, each element mapped to its number of
+    preimages under s^t, for t >= 1: the weighted join for u = min(t, 2),
+    then t-u passes that add the weights of elements sorted together.
+    Only the sortable counts read it."""
+    return _store().weights(n, t)
 
 
 def _brute_image(n: int, t: int) -> frozenset[Perm]:
@@ -334,11 +442,12 @@ def image_of_iterate(
 ) -> ImageReport:
     """Exact image of the t-fold sorting map over all n! permutations.
 
-    s^u(S_n), u = min(t, 2), is joined from the smaller images of the
-    same u (`_join`, which peels p = min(u-1, |L|) values off each left
-    value set L), then the sorting pass is applied t-u more times, all in
-    the calling process.  Keeping the elements of the 0-fold image (all
-    of S_n) is refused above n = `KEEP_ALL_MAX_N`, whatever `max_n` says.
+    s^t(S_n) is a set joined from the smaller images of the same t
+    (`_peel_join`, which peels the top t-1 values off each left value set
+    and loops over what is kept), all in the calling process; no
+    preimage weight is formed.  Past t = n-1 the image is the identity
+    alone.  Keeping the elements of the 0-fold image (all of S_n) is
+    refused above n = `KEEP_ALL_MAX_N`, whatever `max_n` says.
     `shards` must be >= 1 and is otherwise ignored; ROADMAP item 6
     removes it together with the benchmark plans that pass it.
     """
@@ -404,9 +513,11 @@ def characterize_membership_rule(
             f"membership for n = {n}, t = {t} is outside the characterized "
             f"regimes and over the enumeration bound: undecidable at this "
             f"scale")
-    report = image_of_iterate(n, t, keep_elements=True, max_n=max_n)
-    assert report.elements is not None
-    return p in report.elements, "oracle-fallback"
+    # the image stays in the scope's store, so membership reads its set
+    # instead of a copy of every element as a tuple
+    with _sharing_levels():
+        image_of_iterate(n, t, max_n=max_n)
+        return bytes(p) in _image(n, t), "oracle-fallback"
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +649,7 @@ def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
     if t == 0:
         return 1
     if t >= 3:
-        return _image(n, t)[bytes(range(1, n + 1))]
+        return _weights(n, t)[bytes(range(1, n + 1))]
     weights = [1]
     follow = weights
     if t == 2:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -35,7 +36,8 @@ from stacksortlab import (
 )
 from stacksortlab import lab
 from stacksortlab.lab import (_brute_image, _image, _predicted_image,
-                              _sharing_levels, _sorted_after, _Store)
+                              _sharing_levels, _sorted_after, _Store,
+                              _weights)
 
 # ---------------------------------------------------------------------------
 # exact sequences
@@ -165,7 +167,7 @@ def test_thrice_and_four_times_sorted_image_sizes():
 
 def test_twice_sorted_levels_match_brute_oracle():
     store = _Store()
-    store.image(8, 2)
+    store.weights(8, 2)
     twice = store.levels[2]
     for k in range(9):
         assert {tuple(x) for x in twice[k]} == _brute_image(k, 2), k
@@ -173,7 +175,7 @@ def test_twice_sorted_levels_match_brute_oracle():
 
 def test_sorted_after_matches_stack_sort():
     store = _Store()
-    after = [_sorted_after(store.image(j, 1), j) for j in range(8)]
+    after = [_sorted_after(store.weights(j, 1), j) for j in range(8)]
     for j in range(8):
         image = _brute_image(j, 1)
         for r in range(1, j + 2):
@@ -198,12 +200,19 @@ def _count_calls(monkeypatch, name: str) -> list[tuple]:
 def test_verify_all_builds_each_level_once(monkeypatch):
     joins = _count_calls(monkeypatch, "_join")
     rows = _count_calls(monkeypatch, "_sorted_after")
+    set_joins = _count_calls(monkeypatch, "_peel_join")
     assert all(r.passed for r in verify_all(8))
-    # s(S_k) for k = 1..6, read by the rows of s(S_j) for j = 0..6, and
-    # s^2(S_k) for k = 1..8; the sortable counts build no level
-    assert sorted((k, t) for _, _, k, t in joins) == sorted(
-        [(k, 1) for k in range(1, 7)] + [(k, 2) for k in range(1, 9)])
+    # the weighted engine serves only the two-pass counts: s(S_k) for
+    # k = 1..6, read by the rows of s(S_j) for j = 0..6
+    assert sorted((k, t) for _, _, k, t in joins) == [
+        (k, 1) for k in range(1, 7)]
     assert [j for _, j in rows] == list(range(7))
+    # the images build each set level s^t(S_k) once, up to the largest n
+    # asked with that t: s(S_5) for theorem2 at m = 4, s^2(S_7) at m = 5,
+    # and n = 8 for every t >= 3 (t >= 8 is clamped to 7)
+    assert sorted((k, t) for _, k, t in set_joins) == sorted(
+        [(k, 1) for k in range(1, 6)] + [(k, 2) for k in range(1, 8)]
+        + [(k, t) for t in range(3, 8) for k in range(1, 9)])
 
 
 def test_level_store_lives_only_inside_its_call(monkeypatch):
@@ -222,7 +231,7 @@ def test_level_store_lives_only_inside_its_call(monkeypatch):
 
 
 def test_image_calls_outside_a_scope_share_nothing(monkeypatch):
-    joins = _count_calls(monkeypatch, "_join")
+    joins = _count_calls(monkeypatch, "_peel_join")
     image_of_iterate(7, 3)
     once = len(joins)
     image_of_iterate(7, 3)
@@ -239,19 +248,79 @@ def test_shared_store_matches_brute_oracle_out_of_order():
                     _brute_image(n, t), (n, t)
 
 
+def test_set_images_match_weight_keys():
+    # each image from a fresh store against the keys of the weighted
+    # engine, whose levels one store shares
+    weights = _Store()
+    for n in range(11):
+        for t in range(1, n + 2):
+            assert _image(n, t) == set(weights.weights(n, t)), (n, t)
+
+
+def test_middle_windows_within_the_cap():
+    # |s^{n-m}(S_n)| for n = m..12; the paper leaves the interior open
+    def window(m):
+        return [image_of_iterate(n, n - m, max_n=12).count
+                for n in range(m, 13)]
+    assert window(8) == [40320, 11033, 5718, 4456, 4186]
+    assert window(9) == [362880, 76028, 33364, 23772]
+
+
+def test_images_nest_as_n_grows():
+    # s(sigma) less its largest entry is s of sigma less it, so for fixed
+    # m = n - t the image at n+1 less n+1 lies inside the image at n
+    with _sharing_levels():
+        for m in range(1, 8):
+            for n in range(m + 1, 12):
+                smaller = _image(n, n - m)
+                top = bytes([n + 1])
+                for x in _image(n + 1, n + 1 - m):
+                    assert x.replace(top, b"") in smaller, (m, n, x)
+
+
+def _nested_insertions(r, p, q):
+    """Every s(v_p ... s(v_1 s(R))) with v_1 > ... > v_p in q+1..r+p and R
+    an arrangement of the other values of [r+p]."""
+    out = set()
+    for vs in itertools.combinations(range(q + 1, r + p + 1), p):
+        values = [v for v in range(1, r + p + 1) if v not in vs]
+        for arrangement in itertools.permutations(values):
+            x = stack_sort(arrangement)
+            for v in reversed(vs):
+                x = stack_sort((v,) + x)
+            out.add(x)
+    return out
+
+
+def test_unions_match_nested_insertions():
+    store = _Store()
+    for r in range(7):
+        for p in range(7 - r):
+            for q in range(r + 1):
+                union = store.union(r, p, q)
+                assert len(union) == len(set(union)), (r, p, q)
+                assert {tuple(y) for y in union} == \
+                    _nested_insertions(r, p, q), (r, p, q)
+
+
 def test_passes_stop_at_the_identity_for_any_t():
     # every permutation of [5] is sorted after 4 passes; a larger t must
     # neither recurse nor loop once per pass
     assert image_of_iterate(5, 10**4).count == 1
     assert count_t_stack_sortable(5, 10**4) == 120
     with _sharing_levels():
-        assert len(_image(5, 10**9)) == 1
-        chain = lab._STORE.get().passes[5]
+        # images clamp t to n-1 = 4, s^4(S_5), the identity alone
+        assert _image(5, 10**9) == {bytes(range(1, 6))}
+        store = lab._STORE.get()
+        assert max(store.sets) == 4 and _image(5, 4) is store.sets[4][5]
+        # counts stop the passes at the first level holding the identity
+        assert len(_weights(5, 10**9)) == 1
+        chain = store.passes[5]
         # s^2, s^3 and s^4 of S_5; s^4 = s^{n-1} sorts every permutation
         assert [len(level) for level in chain] == [
             len(_brute_image(5, t)) for t in (2, 3, 4)]
         assert len(chain[-1]) == 1
-        assert _image(5, 3) is chain[1]
+        assert _weights(5, 3) is chain[1]
 
 
 def test_image_bounds():
@@ -322,6 +391,22 @@ def test_characterize_matches_oracle_exhaustively():
             for p in perms(n):
                 member = characterize_membership_rule(p, t)[0]
                 assert member == (p in elements), (p, t)
+
+
+def test_characterize_fallback_keeps_no_elements(monkeypatch):
+    original = lab.image_of_iterate
+    calls = []
+
+    def no_elements(n, t, keep_elements=False, **kwargs):
+        assert not keep_elements, "the fallback copied every element"
+        calls.append((n, t))
+        return original(n, t, **kwargs)
+    monkeypatch.setattr(lab, "image_of_iterate", no_elements)
+    image = _brute_image(6, 1)
+    for p in perms(6):
+        assert characterize_membership_rule(p, 1) == (
+            p in image, "oracle-fallback"), p
+    assert calls == [(6, 1)] * 720
 
 
 def test_characterize_no_enumeration_needed_above_bound():
@@ -400,7 +485,7 @@ def test_image_weights_match_brute_force():
     # every key of s^t(S_n) carries its number of preimages under s^t
     for n in range(9):
         for t in (1, 2, 3):
-            level = _image(n, t)
+            level = _weights(n, t)
             assert sum(level.values()) == math.factorial(n), (n, t)
             preimages = Counter(stack_sort_iterate(p, t) for p in perms(n))
             assert {tuple(q): w for q, w in level.items()} == preimages, (n, t)
@@ -417,13 +502,13 @@ def test_targeted_counts_match_image_weights():
     # whether or not a shared store already holds the rows
     for n in range(11):
         for t in (1, 2):
-            expected = _image(n, t)[bytes(range(1, n + 1))]
+            expected = _weights(n, t)[bytes(range(1, n + 1))]
             assert count_t_stack_sortable(n, t) == expected, (n, t)
     with _sharing_levels():
         for n in range(10, -1, -1):
             for t in (2, 1):
                 assert count_t_stack_sortable(n, t) == \
-                    _image(n, t)[bytes(range(1, n + 1))], (n, t)
+                    _weights(n, t)[bytes(range(1, n + 1))], (n, t)
 
 
 def test_one_stack_sortable_count_builds_no_level(monkeypatch):
