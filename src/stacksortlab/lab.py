@@ -2,10 +2,10 @@
 t-stack-sortable permutations, and the verification suites built on them.
 
 Everything here is exact integer arithmetic, and no engine sorts all n!
-permutations.  Each question has its own engine; both build s^t(S_n)
-from the levels of smaller sizes over the splits L n R, where a
-left-to-right maximum empties the stack.  Permutations are byte-packed,
-one byte per entry.
+permutations.  Each question has its own engine; both work over the
+splits L n R, where a left-to-right maximum empties the stack, from
+levels of smaller sizes.  Permutations are byte-packed, one byte per
+entry.
 
 - Images are sets.  `_peel_join` builds s^t(S_n) for any t >= 1 in one
   t-fold join: with |L| >= t it peels the top t-1 values off L, so the
@@ -13,11 +13,11 @@ one byte per entry.
   nested-insertion table, then n; all L with |L| < t together give
   s^t(S_{n-1}) n.  Both factors depend only on the kept part of L, so
   the join loops over kept sets, and the cost follows m = n - t.
-- Counts are weights.  `_join` maps each element of s^t(S_n), t = 1 or
-  2, to its number of preimages, over every L; t >= 3 applies the
-  sorting pass t-2 more times to s^2(S_n).  The t-stack-sortable count
-  is the weight of the identity; for t = 1, 2 it sums only the splits
-  that reach the identity, so s^t(S_n) is not built.
+- Counts are weights.  `count_t_stack_sortable` sums, for every t >= 1,
+  only the splits that s^t sends to the identity, by the same peel, so
+  s^t(S_n) is never built.  Its factor for R is read off weighted
+  nested-insertion tables, which map each element to its number of R
+  and grow from s(S_r) with preimage weights (`_join`).
 
 The levels are tiny next to n! (|s(S_9)| = 11033 and |s^2(S_9)| = 1081
 against 362880).  The default bound is n <= 10; 11 and 12 are allowed
@@ -26,7 +26,7 @@ built in the calling process.
 
 A `_Store` holds both engines' levels and tables, each built at most
 once and kept until the store is dropped.  `verify_all`, `verify_prop2`
-and `explore_open` share one store across every image they ask for: the
+and `explore_open` share one store across every level they ask for: the
 outermost of them opens it and drops it on return.  Any other call
 builds its own store and drops it on return, so no level outlives the
 call that asked for it.  The avoiders of the barred pattern are counted
@@ -236,52 +236,28 @@ def _skips(j: int, below: int) -> list[tuple[int, bytes, bytes]]:
              bytes([r])) for r in range(1, below + 1)]
 
 
-def _sorted_after(level: dict[bytes, int], j: int) -> list[dict[bytes, int]]:
-    """`row[r-1]` maps s(r b), b in s(S_j) relabelled onto {1..j+1} minus
-    r, to the summed fertility of the b that reach it, for r = 1..j+1: the
-    right-hand factors of the weighted join for t = 2, standardized.
-    `level` is s(S_j) with fertilities."""
-    row: list[dict[bytes, int]] = [{} for _ in range(j + 1)]
-    skips = _skips(j, j + 1)
-    for b, w in level.items():
-        for out, key in zip(row, _put_below(b, skips)):
-            out[key] = out.get(key, 0) + w
-    return row
+def _join(levels: list[dict[bytes, int]], k: int) -> dict[bytes, int]:
+    """s(S_k), each element mapped to its number of preimages under s,
+    joined over the left value sets L, subsets of {1..k-1}, of L k R;
+    `levels[j]` is s(S_j) for j < k.
 
-
-def _join(levels: list[dict[bytes, int]],
-          after: list[list[dict[bytes, int]]],
-          k: int, t: int) -> dict[bytes, int]:
-    """s^t(S_k) for t = 1 or 2, each element mapped to its number of
-    preimages under s^t, joined over the left value sets L, subsets of
-    {1..k-1}, of L k R.  `levels[j]` is s^t(S_j) for j < k; `after[j]` is
-    `_sorted_after` of s(S_j) for j <= k-2 (read only when t = 2).
-
-    This is `_peel_join` with weights and p = min(t-1, |L|): with p = 0,
-    s(L k R) = s(L) s(R) k; with p = 1 and m = max L, s^2(L k R) =
-    s(A') s(m B) k with A' = s(L) less m and B = s(R), and s(A') m is
-    s^2(L).  The preimages with a fixed L pair one preimage of each
-    factor, so weights multiply; different L give disjoint preimages, so
-    their weights add where they reach the same element.  The weights of
-    |L| < t do not collapse onto s^t(S_{k-1}) k as the sets do, so this
-    join loops over L.
+    A left-to-right maximum empties the stack, so s(L k R) = s(L) s(R) k.
+    The preimages with a fixed L pair one preimage of each factor, so
+    weights multiply; different L give disjoint preimages, so their
+    weights add where they reach the same element.
     """
     out: dict[bytes, int] = {}
     get = out.get
     top = bytes([k])
     for a in range(k):
-        p = min(t - 1, a)
-        peeled = bytes(range(a - p + 1, a + 1))
         lefts = levels[a].items()
         for left in itertools.combinations(range(1, k), a):
-            kept = left[:a - p]
-            rest = tuple(v for v in range(1, k) if v not in kept)
-            lt, rt = _relabel_table(kept), _relabel_table(rest)
-            factor = (after[len(rest) - 1][rest.index(left[-1])] if p
-                      else levels[len(rest)])
-            rights = [(y.translate(rt) + top, wy) for y, wy in factor.items()]
+            rest = [v for v in range(1, k) if v not in left]
+            lt, rt = _relabel_table(left), _relabel_table(rest)
+            rights = [(y.translate(rt) + top, wy)
+                      for y, wy in levels[k - 1 - a].items()]
             for x, wx in lefts:
-                x = x.translate(lt, peeled)  # drops the last p entries
+                x = x.translate(lt)
                 for y, wy in rights:
                     key = x + y
                     out[key] = get(key, 0) + wx * wy
@@ -294,21 +270,20 @@ class _Store:
     at a time by `_peel_join`; `tables[r, ranks]` is T(r, ranks), the
     set of s(v_p ... s(v_1 s(R))) over s(R) in s(S_r), standardized,
     where v_1 > ... > v_p have the ranks `ranks` among R and the v's;
-    `unions[r, p]` holds U(r, p, q) for every q.  Counts: `levels[t][k]`
-    is s^t(S_k), t = 1 or 2, with preimage weights, grown by `_join`;
-    `after[j]` is `_sorted_after` of s(S_j); `passes[n][i]` is
-    s^{i+2}(S_n), one sorting pass over the entry before it, never grown
-    past the first that holds the identity alone.
+    `unions[r, p]` holds U(r, p, q) for every q.  Counts: `levels[k]` is
+    s(S_k) with preimage weights, grown by `_join`; `weighted[r, ranks]`
+    maps each element of T(r, ranks) to its number of R in S_r;
+    `depths` maps each element asked about to the number of sorting
+    passes that sort it.
     """
 
     def __init__(self) -> None:
         self.sets: dict[int, list[set[bytes]]] = {}
         self.tables: dict[tuple[int, tuple[int, ...]], set[bytes]] = {}
         self.unions: dict[tuple[int, int], tuple[list[bytes], list[int]]] = {}
-        self.levels: dict[int, list[dict[bytes, int]]] = {
-            1: [{b"": 1}], 2: [{b"": 1}]}
-        self.after: list[list[dict[bytes, int]]] = []
-        self.passes: dict[int, list[dict[bytes, int]]] = {}
+        self.levels: list[dict[bytes, int]] = [{b"": 1}]
+        self.weighted: dict[tuple[int, tuple[int, ...]], dict[bytes, int]] = {}
+        self.depths: dict[bytes, int] = {}
 
     def image(self, n: int, t: int) -> set[bytes]:
         """s^t(S_n) for t >= 1.  Past t = n-1 every image is the identity
@@ -337,6 +312,27 @@ class _Store:
                 self.tables[r, ranks[:-1] + (rank,)] = child
         return self.tables[r, ranks]
 
+    def weighted_table(self, r: int,
+                       ranks: tuple[int, ...]) -> dict[bytes, int]:
+        """`table` with weights: T(r, ranks) with each element mapped to
+        its number of R in S_r, built the same way; T(r, ()) is s(S_r)
+        with preimage weights, grown by `_join`."""
+        if not ranks:
+            while len(self.levels) <= r:
+                self.levels.append(_join(self.levels, len(self.levels)))
+            return self.levels[r]
+        if (r, ranks) not in self.weighted:
+            parent = tuple(v - 1 for v in ranks[:-1])
+            below = parent[-1] if parent else r + 1
+            children: list[dict[bytes, int]] = [{} for _ in range(below)]
+            skips = _skips(r + len(parent), below)
+            for c, w in self.weighted_table(r, parent).items():
+                for out, key in zip(children, _put_below(c, skips)):
+                    out[key] = out.get(key, 0) + w
+            for rank, child in enumerate(children, 1):
+                self.weighted[r, ranks[:-1] + (rank,)] = child
+        return self.weighted[r, ranks]
+
     def union(self, r: int, p: int, q: int) -> list[bytes]:
         """U(r, p, q): the union of the T(r, ranks) with all p ranks in
         q+1..r+p.  It shrinks as q grows, so one list serves every q."""
@@ -358,37 +354,37 @@ class _Store:
         order, ends = self.unions[r, p]
         return order[:ends[q]]
 
-    def weights(self, n: int, t: int) -> dict[bytes, int]:
-        """s^t(S_n) for t >= 1, each element mapped to its number of
-        preimages under s^t."""
-        if t <= 2:
-            return self._joined(n, t)
-        chain = self.passes.setdefault(n, [self._joined(n, 2)])
-        # a pass fixes the identity alone, so no chain grows past it
-        while len(chain) < t - 1 and len(chain[-1]) > 1:
-            nxt: dict[bytes, int] = {}
-            get = nxt.get
-            for q, w in chain[-1].items():
-                key = bytes(stack_sort(q))
-                nxt[key] = get(key, 0) + w
-            chain.append(nxt)
-        return chain[min(t - 2, len(chain) - 1)]
+    def depth(self, x: bytes) -> int:
+        """The number of sorting passes that sort x, found once for x and
+        for every element its passes go through."""
+        chain: list[bytes] = []
+        while x not in self.depths:
+            y = bytes(stack_sort(x))
+            if y == x:  # a pass fixes the identity alone
+                self.depths[x] = 0
+            else:
+                chain.append(x)
+                x = y
+        count = self.depths[x]
+        for y in reversed(chain):
+            count += 1
+            self.depths[y] = count
+        return count
 
-    def rows(self, n: int) -> list[list[dict[bytes, int]]]:
-        """`after[j]` for every j < n, each built once: the rows that the
-        join of s^2(S_{n+1}) reads."""
-        while len(self.after) < n:
-            j = len(self.after)
-            self.after.append(_sorted_after(self._joined(j, 1), j))
-        return self.after
-
-    def _joined(self, n: int, t: int) -> dict[bytes, int]:
-        levels = self.levels[t]
-        if t == 2 and len(levels) <= n:
-            self.rows(n - 1)
-        while len(levels) <= n:
-            levels.append(_join(levels, self.after, len(levels), t))
-        return levels[n]
+    def reach(self, p: int, r: int, e: int) -> int:
+        """H(p, r, e): the pairs of p ranks in [r+p] and an R in S_r whose
+        element of T(r, ranks) e passes sort, read off the weighted
+        tables."""
+        total = 0
+        ident = bytes(range(1, r + p + 1))
+        for ranks in itertools.combinations(range(r + p, 0, -1), p):
+            table = self.weighted_table(r, ranks)
+            if e == 0:  # only the identity is sorted by no pass
+                total += table.get(ident, 0)
+            else:
+                total += sum(w for x, w in table.items()
+                             if self.depth(x) <= e)
+        return total
 
 
 _STORE: contextvars.ContextVar[_Store | None] = contextvars.ContextVar(
@@ -416,14 +412,6 @@ def _image(n: int, t: int) -> set[bytes]:
     Read from the shared store inside `_sharing_levels`, else from a fresh
     one."""
     return _store().image(n, t)
-
-
-def _weights(n: int, t: int) -> dict[bytes, int]:
-    """s^t(S_n), byte-packed, each element mapped to its number of
-    preimages under s^t, for t >= 1: the weighted join for u = min(t, 2),
-    then t-u passes that add the weights of elements sorted together.
-    Only the sortable counts read it."""
-    return _store().weights(n, t)
 
 
 def _brute_image(n: int, t: int) -> frozenset[Perm]:
@@ -635,30 +623,38 @@ def count_avoiders(n: int, max_n: int | None = None) -> int:
 def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
     """Count of p in S_n fully sorted by t passes, without scanning S_n.
 
-    The count W_t(n) is the weight of the identity in s^t(S_n).  For
-    t <= 2 it sums only the splits L k R of `_join` that reach the
-    identity.  L empty gives s^t(R) k; |L| = a >= 1 needs L less its top
-    t-1 values to be {1..a-t+1}.  So W_t(k) = W_t(k-1) +
-    sum_{a=1}^{k-1} W_t(a) F(k-1-a): for t = 1, F = W_1 (the empty split
-    is W_1(0) W_1(k-1)); for t = 2, F(j) sums the identity's weight over
-    `after[j]`.
+    W(k) = W_t(k) sums only the splits L k R, |L| = a, that s^t sends to
+    the identity.  With p = min(a, t-1), e = max(t-1-a, 0) and
+    v_1 > ... > v_p the top p values of L, the peel of `_peel_join` gives
+    s^t(L k R) = strip_p(s^t(L)) s^e(T) k, where T = s(v_p ... s(v_1
+    s(R))); for a < t all of L is peeled (p = a), and the a+1 passes
+    that make T leave e.  So the identity needs L less its top p values
+    to be {1..a-p} with L sorted by t passes, W(a) orders of L (all a!
+    when a < t), and T sorted by e more passes:
+
+        W(k) = W(k-1) + sum_{a=1}^{k-1} W(a) H(p, k-1-a, e),
+
+    the first term being L empty.  H(p, r, e) (`_Store.reach`) counts the
+    rank sets of the v's in [r+p] and the R in S_r whose T is sorted by e
+    passes.  W(k) = k! for k <= t+1, since k-1 passes sort S_k.  For
+    t = 1, H(0, r, 0) = W_1(r), so no level is built.
     """
     _require_within(n, max_n)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return 1
-    if t >= 3:
-        return _weights(n, t)[bytes(range(1, n + 1))]
-    weights = [1]
-    follow = weights
-    if t == 2:
-        after = _store().rows(n - 1)
-        follow = [sum(out.get(bytes(range(1, j + 2)), 0) for out in after[j])
-                  for j in range(n - 1)]
-    for k in range(1, n + 1):
-        weights.append(weights[k - 1] + sum(weights[a] * follow[k - 1 - a]
-                                            for a in range(1, k)))
+    store = _store()
+    weights = [math.factorial(k) for k in range(min(n, t + 1) + 1)]
+    reach: dict[tuple[int, int, int], int] = {}  # each H once per call
+    for k in range(len(weights), n + 1):
+        total = weights[k - 1]
+        for a in range(1, k):
+            p, r, e = min(a, t - 1), k - 1 - a, max(t - 1 - a, 0)
+            if (p, r, e) not in reach:
+                reach[p, r, e] = store.reach(p, r, e) if p else weights[r]
+            total += weights[a] * reach[p, r, e]
+        weights.append(total)
     return weights[n]
 
 

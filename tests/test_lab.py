@@ -36,8 +36,7 @@ from stacksortlab import (
 )
 from stacksortlab import lab
 from stacksortlab.lab import (_brute_image, _image, _predicted_image,
-                              _sharing_levels, _sorted_after, _Store,
-                              _weights)
+                              _sharing_levels, _Store)
 
 # ---------------------------------------------------------------------------
 # exact sequences
@@ -165,25 +164,6 @@ def test_thrice_and_four_times_sorted_image_sizes():
         1, 1, 1, 1, 1, 1, 2, 5, 15, 52, 203, 882]
 
 
-def test_twice_sorted_levels_match_brute_oracle():
-    store = _Store()
-    store.weights(8, 2)
-    twice = store.levels[2]
-    for k in range(9):
-        assert {tuple(x) for x in twice[k]} == _brute_image(k, 2), k
-
-
-def test_sorted_after_matches_stack_sort():
-    store = _Store()
-    after = [_sorted_after(store.weights(j, 1), j) for j in range(8)]
-    for j in range(8):
-        image = _brute_image(j, 1)
-        for r in range(1, j + 2):
-            expected = {stack_sort((r,) + tuple(v + (v >= r) for v in b))
-                        for b in image}
-            assert {tuple(y) for y in after[j][r - 1]} == expected, (j, r)
-
-
 def _count_calls(monkeypatch, name: str) -> list[tuple]:
     """Replace `lab.<name>` by a wrapper that records each call's
     arguments in the returned list."""
@@ -197,16 +177,31 @@ def _count_calls(monkeypatch, name: str) -> list[tuple]:
     return calls
 
 
+def _count_weighted_builds(monkeypatch) -> list[tuple]:
+    """Record (r, ranks) each time `_Store.weighted_table` is asked for a
+    table its store does not hold, so builds it and its siblings."""
+    builds: list[tuple] = []
+    original = _Store.weighted_table
+
+    def counted(self, r, ranks):
+        if ranks and (r, ranks) not in self.weighted:
+            builds.append((r, ranks))
+        return original(self, r, ranks)
+    monkeypatch.setattr(_Store, "weighted_table", counted)
+    return builds
+
+
 def test_verify_all_builds_each_level_once(monkeypatch):
     joins = _count_calls(monkeypatch, "_join")
-    rows = _count_calls(monkeypatch, "_sorted_after")
+    builds = _count_weighted_builds(monkeypatch)
     set_joins = _count_calls(monkeypatch, "_peel_join")
     assert all(r.passed for r in verify_all(8))
     # the weighted engine serves only the two-pass counts: s(S_k) for
-    # k = 1..6, read by the rows of s(S_j) for j = 0..6
-    assert sorted((k, t) for _, _, k, t in joins) == [
-        (k, 1) for k in range(1, 7)]
-    assert [j for _, j in rows] == list(range(7))
+    # k = 1..6, read by the one-value tables T(r, (v,)) for r = 0..6,
+    # all v of one r built together
+    assert [k for _, k in joins] == list(range(1, 7))
+    assert sorted(r for r, _ in builds) == list(range(7))
+    assert all(len(ranks) == 1 for _, ranks in builds)
     # the images build each set level s^t(S_k) once, up to the largest n
     # asked with that t: s(S_5) for theorem2 at m = 4, s^2(S_7) at m = 5,
     # and n = 8 for every t >= 3 (t >= 8 is clamped to 7)
@@ -240,7 +235,7 @@ def test_image_calls_outside_a_scope_share_nothing(monkeypatch):
 
 def test_shared_store_matches_brute_oracle_out_of_order():
     # descending n, then ascending t: the store is asked for levels below
-    # the ones it has already grown, and for passes out of size order
+    # the ones it has already grown
     with _sharing_levels():
         for n in range(8, -1, -1):
             for t in range(1, n + 1):
@@ -249,12 +244,15 @@ def test_shared_store_matches_brute_oracle_out_of_order():
 
 
 def test_set_images_match_weight_keys():
-    # each image from a fresh store against the keys of the weighted
-    # engine, whose levels one store shares
+    # each image from a fresh store: s(S_n) against the keys of the
+    # weighted s(S_n), whose levels one store shares, and s^t(S_n) as
+    # one more pass over s^{t-1}(S_n)
     weights = _Store()
     for n in range(11):
-        for t in range(1, n + 2):
-            assert _image(n, t) == set(weights.weights(n, t)), (n, t)
+        assert _image(n, 1) == set(weights.weighted_table(n, ())), n
+        for t in range(2, n + 2):
+            assert _image(n, t) == {bytes(stack_sort(x))
+                                    for x in _image(n, t - 1)}, (n, t)
 
 
 def test_middle_windows_within_the_cap():
@@ -279,16 +277,17 @@ def test_images_nest_as_n_grows():
 
 
 def _nested_insertions(r, p, q):
-    """Every s(v_p ... s(v_1 s(R))) with v_1 > ... > v_p in q+1..r+p and R
-    an arrangement of the other values of [r+p]."""
-    out = set()
-    for vs in itertools.combinations(range(q + 1, r + p + 1), p):
+    """For each v_1 > ... > v_p in q+1..r+p, a Counter of s(v_p ... s(v_1
+    s(R))) over the arrangements R of the other values of [r+p]."""
+    out = {}
+    for vs in itertools.combinations(range(r + p, q, -1), p):
         values = [v for v in range(1, r + p + 1) if v not in vs]
+        counts = out[vs] = Counter()
         for arrangement in itertools.permutations(values):
             x = stack_sort(arrangement)
-            for v in reversed(vs):
+            for v in vs:
                 x = stack_sort((v,) + x)
-            out.add(x)
+            counts[x] += 1
     return out
 
 
@@ -299,8 +298,19 @@ def test_unions_match_nested_insertions():
             for q in range(r + 1):
                 union = store.union(r, p, q)
                 assert len(union) == len(set(union)), (r, p, q)
-                assert {tuple(y) for y in union} == \
-                    _nested_insertions(r, p, q), (r, p, q)
+                assert {tuple(y) for y in union} == set().union(
+                    *_nested_insertions(r, p, q).values()), (r, p, q)
+
+
+def test_weighted_tables_match_nested_insertions():
+    # each element of T(r, ranks) carries its number of R in S_r
+    store = _Store()
+    for r in range(8):
+        for p in range(8 - r):
+            for ranks, counts in _nested_insertions(r, p, 0).items():
+                table = store.weighted_table(r, ranks)
+                assert {tuple(y): w for y, w in table.items()} == counts, \
+                    (r, ranks)
 
 
 def test_passes_stop_at_the_identity_for_any_t():
@@ -313,14 +323,15 @@ def test_passes_stop_at_the_identity_for_any_t():
         assert _image(5, 10**9) == {bytes(range(1, 6))}
         store = lab._STORE.get()
         assert max(store.sets) == 4 and _image(5, 4) is store.sets[4][5]
-        # counts stop the passes at the first level holding the identity
-        assert len(_weights(5, 10**9)) == 1
-        chain = store.passes[5]
-        # s^2, s^3 and s^4 of S_5; s^4 = s^{n-1} sorts every permutation
-        assert [len(level) for level in chain] == [
-            len(_brute_image(5, t)) for t in (2, 3, 4)]
-        assert len(chain[-1]) == 1
-        assert _weights(5, 3) is chain[1]
+        # counts ask how many passes an element needs, walking its
+        # passes only up to the identity; 2 3 4 5 1 needs all n-1 = 4
+        assert count_t_stack_sortable(7, 3) == 3494
+        assert store.depth(bytes([2, 3, 4, 5, 1])) == 4
+        assert store.depths[bytes([2, 3, 1, 4, 5])] == 2
+        for x, d in store.depths.items():
+            x = tuple(x)
+            assert stack_sort_iterate(x, d) == tuple(sorted(x)), x
+            assert d == 0 or stack_sort_iterate(x, d - 1) != tuple(sorted(x))
 
 
 def test_image_bounds():
@@ -482,13 +493,13 @@ def test_count_t_stack_sortable_examples():
 
 
 def test_image_weights_match_brute_force():
-    # every key of s^t(S_n) carries its number of preimages under s^t
+    # every key of s(S_n) carries its number of preimages under s
+    store = _Store()
     for n in range(9):
-        for t in (1, 2, 3):
-            level = _weights(n, t)
-            assert sum(level.values()) == math.factorial(n), (n, t)
-            preimages = Counter(stack_sort_iterate(p, t) for p in perms(n))
-            assert {tuple(q): w for q, w in level.items()} == preimages, (n, t)
+        level = store.weighted_table(n, ())
+        assert sum(level.values()) == math.factorial(n), n
+        preimages = Counter(stack_sort(p) for p in perms(n))
+        assert {tuple(q): w for q, w in level.items()} == preimages, n
 
 
 def test_two_stack_sortable_counts_past_default_bound():
@@ -498,38 +509,79 @@ def test_two_stack_sortable_counts_past_default_bound():
 
 
 def test_targeted_counts_match_image_weights():
-    # the split sums equal the weight of the identity in the full image,
-    # whether or not a shared store already holds the rows
+    # the split sums equal the weight of the elements of s(S_n) that t-1
+    # more passes sort, whether or not a shared store already holds the
+    # tables
+    weights = _Store()
+
+    def expected(n, t):
+        return sum(w for x, w in weights.weighted_table(n, ()).items()
+                   if weights.depth(x) <= t - 1)
     for n in range(11):
-        for t in (1, 2):
-            expected = _weights(n, t)[bytes(range(1, n + 1))]
-            assert count_t_stack_sortable(n, t) == expected, (n, t)
+        for t in range(1, n + 2):
+            assert count_t_stack_sortable(n, t) == expected(n, t), (n, t)
     with _sharing_levels():
         for n in range(10, -1, -1):
-            for t in (2, 1):
-                assert count_t_stack_sortable(n, t) == \
-                    _weights(n, t)[bytes(range(1, n + 1))], (n, t)
+            for t in range(n + 1, 0, -1):
+                assert count_t_stack_sortable(n, t) == expected(n, t), (n, t)
+
+
+def _fail_on_any_level(monkeypatch) -> None:
+    def failing(*args):
+        raise AssertionError("the count built a level")
+    monkeypatch.setattr(lab, "_join", failing)
+    monkeypatch.setattr(lab, "_peel_join", failing)
+    monkeypatch.setattr(_Store, "weighted_table", failing)
 
 
 def test_one_stack_sortable_count_builds_no_level(monkeypatch):
-    def failing(*args):
-        raise AssertionError("the 1-sortable count built a level")
-    monkeypatch.setattr(lab, "_join", failing)
-    monkeypatch.setattr(lab, "_sorted_after", failing)
+    _fail_on_any_level(monkeypatch)
     for n in range(13):
         assert count_t_stack_sortable(n, 1, max_n=12) == catalan(n), n
 
 
+def test_counts_past_n_minus_two_passes_build_no_level(monkeypatch):
+    # n-1 passes sort all of S_n
+    _fail_on_any_level(monkeypatch)
+    for n in range(13):
+        for t in {max(n - 1, 0), n, n + 1, 10**9}:
+            assert count_t_stack_sortable(n, t, max_n=12) == \
+                math.factorial(n), (n, t)
+
+
 def test_two_stack_sortable_count_builds_no_twice_level(monkeypatch):
     joins = _count_calls(monkeypatch, "_join")
+    set_joins = _count_calls(monkeypatch, "_peel_join")
+    builds = _count_weighted_builds(monkeypatch)
     assert count_t_stack_sortable(12, 2, max_n=12) == \
         west_zeilberger_count(12)
-    assert joins and all(t == 1 for _, _, _, t in joins)
+    # s(S_k) with weights for k <= 10 and the one-value tables over it;
+    # no set level and no level of s^2
+    assert [k for _, k in joins] == list(range(1, 11))
+    assert sorted(r for r, _ in builds) == list(range(11))
+    assert all(len(ranks) == 1 for _, ranks in builds)
+    assert not set_joins
+
+
+def test_t_stack_sortable_rows_past_brute_range():
+    # W_t(n) for n = 0..11, from the weighted s^2(S_n) and t-2 sorting
+    # passes over it that the recurrence replaced; n <= 8 is also the
+    # brute count
+    rows = {
+        3: [1, 1, 2, 6, 24, 114, 606, 3494, 21426, 137901, 922862, 6377818],
+        4: [1, 1, 2, 6, 24, 120, 696, 4476, 31104, 229860, 1786158,
+            14471480],
+        5: [1, 1, 2, 6, 24, 120, 720, 4920, 36960, 298680, 2561292,
+            23090220],
+    }
+    for t, row in rows.items():
+        assert [count_t_stack_sortable(n, t, max_n=11)
+                for n in range(12)] == row, t
 
 
 def test_count_t_stack_sortable_matches_oracle():
     for n in range(9):
-        for t in range(n + 1):
+        for t in range(n + 2):
             expected = sum(is_t_stack_sortable(p, t) for p in perms(n))
             assert count_t_stack_sortable(n, t) == expected, (n, t)
 
