@@ -4,18 +4,21 @@ Commands: sort, trace, stats, characterize, preimage, lift, zeta, xi,
 bijection, count-image, verify, explore.  Exit codes: 0 success, 1 usage /
 parse errors (also: any failed verification), 2 domain precondition
 violations, 3 resource bounds.  `STACKSORT_MAX_N` mirrors `--max-n`.
+
+Every command starts a fresh interpreter, so imports happen per command:
+this module loads `perm` and `stacksort` only, and each handler imports
+the modules it calls (`lab` for the enumeration commands, `constructions`
+and `patterns` for the others, `json` and `csv` for the record formats).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 
-from . import constructions, lab, patterns, perm, stacksort
+from . import perm, stacksort
 from .errors import (InvalidPermutationError, ParseError, PreconditionError,
                      ResourceBoundError)
 
@@ -59,7 +62,9 @@ def _positive(text: str) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="stacksort", description=__doc__)
+    # the docstring less its last paragraph, the import note
+    parser = _Parser(prog="stacksort",
+                     description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, handler, help_text):
@@ -177,9 +182,11 @@ def _emit_records(records: list[dict], fmt: str, plain_lines: list[str]) -> None
         for line in plain_lines:
             print(line)
     elif fmt == "jsonl":
+        import json
         for rec in records:
             print(json.dumps(rec, sort_keys=True))
     elif records:  # csv; no records means no header either
+        import csv
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=list(records[0]))
         writer.writeheader()
@@ -204,6 +211,7 @@ def _verify_plain_line(report) -> str:
 
 
 def _warn_bound(max_n: int | None) -> None:
+    from . import lab
     if max_n is not None and max_n > lab.DEFAULT_MAX_N:
         print(f"warning: enumeration bound raised to {max_n} "
               f"(default {lab.DEFAULT_MAX_N}); expect factorial growth",
@@ -234,6 +242,7 @@ def _stats(ns) -> None:
 
 
 def _characterize(ns) -> None:
+    from . import lab
     _warn_bound(ns.max_n)
     member, rule = lab.characterize_membership_rule(ns.perm, ns.t,
                                                     max_n=ns.max_n)
@@ -241,6 +250,7 @@ def _characterize(ns) -> None:
 
 
 def _preimage(ns) -> None:
+    from . import constructions, patterns
     p = ns.perm
     sigma = constructions.canonical_preimage(p)
     print(_fmt(sigma, ns))
@@ -252,6 +262,7 @@ def _preimage(ns) -> None:
 
 
 def _lift(ns) -> None:
+    from . import constructions, patterns
     t = perm.tail_length(ns.perm) if ns.t is None else ns.t
     sigma = constructions.iterated_lift(ns.perm, t)
     print(_fmt(sigma, ns))
@@ -262,6 +273,7 @@ def _lift(ns) -> None:
 
 
 def _family(ns) -> None:
+    from . import constructions
     if 2 * ns.m - 3 > perm.MAX_PARSE_LEN:
         raise ResourceBoundError(
             f"{ns.command} for m = {ns.m} has length {2 * ns.m - 3}, over "
@@ -271,6 +283,7 @@ def _family(ns) -> None:
 
 
 def _bijection(ns) -> None:
+    from . import patterns
     text = " ".join(ns.value)
     if text.lstrip().startswith("{"):
         print(_fmt(patterns.callan_inverse(patterns.parse_partition(text)),
@@ -281,6 +294,7 @@ def _bijection(ns) -> None:
 
 
 def _count_image(ns) -> None:
+    from . import lab
     _warn_bound(ns.max_n)
     report = lab.image_of_iterate(ns.n, ns.t, keep_elements=ns.keep_elements,
                                   max_n=ns.max_n)
@@ -288,6 +302,7 @@ def _count_image(ns) -> None:
 
 
 def _verify(ns) -> int:
+    from . import lab
     _warn_bound(ns.max_n)
     names = _CLAIM_ARGS[ns.claim]
     given = [x for x in ("m", "n", "n_max") if getattr(ns, x) is not None]
@@ -307,6 +322,7 @@ def _verify(ns) -> int:
 
 
 def _explore(ns) -> None:
+    from . import lab
     _warn_bound(ns.max_n)
     rows = lab.explore_open(ns.m, max_n=ns.max_n)
     plain = ["n t count"] + [f"{r.n} {r.t} {r.count}" for r in rows]

@@ -30,8 +30,7 @@ and `explore_open` share one store across every level they ask for: the
 outermost of them opens it and drops it on return.  Any other call
 builds its own store and drops it on return, so no level outlives the
 call that asked for it.  The avoiders of the barred pattern are counted
-by their generating tree, so no production path scans S_n; only
-`_predicted_image` filters S_{n-t}.
+and listed by their generating tree, so no production path scans S_n.
 """
 
 from __future__ import annotations
@@ -41,9 +40,7 @@ import contextvars
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from importlib import resources
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .constructions import zeta
 from .errors import (InvalidPermutationError, PreconditionError,
@@ -101,6 +98,7 @@ def bell(k: int) -> int:
 def load_bell_fixture() -> list[int]:
     """Bell numbers from the bundled OEIS A000110 snapshot (one value per
     line, B_0 first)."""
+    from importlib import resources
     text = resources.files("stacksortlab").joinpath("data/a000110.txt").read_text()
     return [int(line) for line in text.split() if line]
 
@@ -125,8 +123,7 @@ def west_zeilberger_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Image enumeration
 
-@dataclass(frozen=True)
-class ImageReport:
+class ImageReport(NamedTuple):
     """Exact result of enumerating the image of the t-fold sorting map over
     S_n.  `elements` is retained only on request; `count` always equals the
     deduplicated image size."""
@@ -147,8 +144,7 @@ class ImageReport:
         return rec
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """One executable claim checked by exact enumeration.  `passed` holds
     exactly when expected == observed (and every auxiliary set-level check
     listed in `parameters` succeeded)."""
@@ -511,14 +507,29 @@ def characterize_membership_rule(
 # ---------------------------------------------------------------------------
 # Verification suites
 
+# the `bytes.translate` table that adds one to every byte but 255
+_UP_ONE = bytes(range(1, 256)) + b"\xff"
+
+
 def _predicted_image(n: int, t: int) -> frozenset[Perm]:
     """The characterized set {p in S_n : tail length >= t, avoider}, built
-    as every avoider q in S_{n-t} followed by the fixed tail n-t+1..n."""
-    fixed_tail = tuple(range(n - t + 1, n + 1))
+    as every avoider q in S_{n-t} followed by the fixed tail n-t+1..n.
+
+    The avoiders are the leaves of the generating tree that
+    `count_avoiders` walks: an avoider q of [k] takes a new last value v,
+    with the entries >= v moved up by one, when q ends in k (a
+    left-to-right maximum) or in a value below v."""
+    m = n - t
+    # ups[v] adds one to the entries >= v
+    ups = [bytes(range(v)) + _UP_ONE[v:] for v in range(m + 1)]
+    level = [b""]
+    for k in range(m):
+        level = [q.translate(ups[v]) + bytes((v,)) for q in level
+                 for v in range(q[-1] + 1 if q and q[-1] < k else 1, k + 2)]
     # appending larger increasing entries adds no descent top and keeps the
     # earlier left-to-right maxima, so q + tail avoids exactly when q does
-    return frozenset(q + fixed_tail for q in _standard_perms(n - t)
-                     if descent_tops_are_lr_maxima(q))
+    fixed_tail = bytes(range(m + 1, n + 1))
+    return frozenset(tuple(q + fixed_tail) for q in level)
 
 
 def verify_theorem1(m: int, n: int,

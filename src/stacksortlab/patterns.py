@@ -11,15 +11,13 @@ stays around as the witness-producing differential oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidPermutationError, ParseError, PreconditionError
 from .perm import Perm, is_standard
 
 
-@dataclass(frozen=True)
-class BarredOccurrence:
+class BarredOccurrence(NamedTuple):
     """Witness of the barred pattern: 1-based positions i1 < i2 < i3 whose
     values decrease, with nothing larger than the first value strictly
     between the second and third positions."""

@@ -3,8 +3,7 @@ iterated application, and replayable traces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidPermutationError
 from .perm import Perm, format_permutation, is_increasing
@@ -74,8 +73,7 @@ def is_t_stack_sortable(p: Sequence[int], t: int) -> bool:
     return is_increasing(stack_sort_iterate(p, t))
 
 
-@dataclass(frozen=True)
-class StackTrace:
+class StackTrace(NamedTuple):
     """Push/pop transcript of a single sorting pass.
 
     Exactly n pushes (in input order) and n pops (spelling the output);

@@ -596,6 +596,15 @@ def test_predicted_image_matches_definition():
             assert _predicted_image(n, t) == expected, (n, t)
 
 
+def test_predicted_image_matches_the_filter_of_s_m():
+    # the generating tree against the filter of all of S_m it replaced
+    for m in range(9):
+        avoiders = [q for q in perms(m) if descent_tops_are_lr_maxima(q)]
+        for t in range(4):
+            tail = tuple(range(m + 1, m + t + 1))
+            assert _predicted_image(m + t, t) == {q + tail for q in avoiders}
+
+
 def test_count_avoiders_small():
     assert [count_avoiders(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
 
