@@ -9,10 +9,12 @@ entry.
 
 - Images are sets.  `_peel_join` builds s^t(S_n) for any t >= 1 in one
   t-fold join: with |L| >= t it peels the top t-1 values off L, so the
-  element is s^t(L) less its last t-1 entries, then one entry of a
-  nested-insertion table, then n; all L with |L| < t together give
-  s^t(S_{n-1}) n.  Both factors depend only on the kept part of L, so
-  the join loops over kept sets, and the cost follows m = n - t.
+  element is s^t(L) less its last t-1 entries, then one element of a
+  union of nested-insertion tables, then n; all L with |L| < t together
+  give s^t(S_{n-1}) n.  Both factors depend only on the kept part of L,
+  so the join loops over kept sets, and the cost follows m = n - t.
+  The unions are built one level of insertion at a time, one sort per
+  distinct element, and never table by table.
 - Counts are weights.  `count_t_stack_sortable` sums, for every t >= 1,
   only the splits that s^t sends to the identity, by the same peel, so
   s^t(S_n) is never built.  Its factor for R is read off weighted
@@ -24,8 +26,8 @@ against 362880).  The default bound is n <= 10; 11 and 12 are allowed
 behind an explicit `max_n` with the hard cap at 12.  Every image is
 built in the calling process.
 
-A `_Store` holds both engines' levels and tables, each built at most
-once and kept until the store is dropped.  `verify_all`, `verify_prop2`
+A `_Store` holds both engines' levels, each built at most once and
+kept until the store is dropped.  `verify_all`, `verify_prop2`
 and `explore_open` share one store across every level they ask for: the
 outermost of them opens it and drops it on return.  Any other call
 builds its own store and drops it on return, so no level outlives the
@@ -42,7 +44,6 @@ import math
 import time
 from typing import Iterator, NamedTuple, Sequence
 
-from .constructions import zeta
 from .errors import (InvalidPermutationError, PreconditionError,
                      ResourceBoundError)
 from .patterns import descent_tops_are_lr_maxima
@@ -232,6 +233,38 @@ def _skips(j: int, below: int) -> list[tuple[int, bytes, bytes]]:
              bytes([r])) for r in range(1, below + 1)]
 
 
+def _nest(order: list[bytes], ends: list[int],
+          j: int) -> tuple[list[bytes], list[int]]:
+    """The next level of nested insertions into s(S_r), r = len(ends) - 2,
+    from the level of length-j elements given as in `_Store.unions`.
+
+    The children of a table whose last rank is w have the last ranks
+    1..w, and an element's child of each rank does not depend on the
+    table.  So each distinct element c of largest last rank w gives its
+    children of ranks 1..w with one `_put_below`, and each child keeps
+    the largest rank it is given.
+    """
+    r = len(ends) - 2
+    skips = _skips(j, r + 1)
+    best: dict[bytes, int] = {}
+    get = best.get
+    for w in range(r + 1, 0, -1):
+        below = skips[:w]
+        for c in order[ends[w]:ends[w - 1]]:
+            for rank, x in enumerate(_put_below(c, below), 1):
+                if get(x, 0) < rank:
+                    best[x] = rank
+    ranked: list[list[bytes]] = [[] for _ in range(r + 2)]
+    for x, w in best.items():
+        ranked[w].append(x)
+    order = []
+    ends = [0] * (r + 2)
+    for w in range(r + 1, 0, -1):
+        order += ranked[w]
+        ends[w - 1] = len(order)
+    return order, ends
+
+
 def _join(levels: list[dict[bytes, int]], k: int) -> dict[bytes, int]:
     """s(S_k), each element mapped to its number of preimages under s,
     joined over the left value sets L, subsets of {1..k-1}, of L k R;
@@ -261,22 +294,25 @@ def _join(levels: list[dict[bytes, int]], k: int) -> dict[bytes, int]:
 
 
 class _Store:
-    """Levels and tables, each built at most once and held until the
-    store is dropped.  Images: `sets[t][k]` is s^t(S_k), grown one size
-    at a time by `_peel_join`; `tables[r, ranks]` is T(r, ranks), the
-    set of s(v_p ... s(v_1 s(R))) over s(R) in s(S_r), standardized,
-    where v_1 > ... > v_p have the ranks `ranks` among R and the v's;
-    `unions[r, p]` holds U(r, p, q) for every q.  Counts: `levels[k]` is
-    s(S_k) with preimage weights, grown by `_join`; `weighted[r, ranks]`
-    maps each element of T(r, ranks) to its number of R in S_r;
-    `depths` maps each element asked about to the number of sorting
-    passes that sort it.
+    """Levels, each built at most once and held until the store is
+    dropped.  T(r, ranks) is the set of s(v_p ... s(v_1 s(R))) over s(R)
+    in s(S_r), standardized, where v_1 > ... > v_p have the ranks `ranks`
+    among R and the v's.  Images: `sets[t][k]` is s^t(S_k), grown one
+    size at a time by `_peel_join`; `unions[r][p]` is level p of the
+    nested insertions into s(S_r), grown by `_nest`, as (order, ends):
+    `order` lists every element of some T(r, ranks) with p ranks by the
+    largest last rank of the tables that hold it, largest first, and
+    `ends[q]` counts those whose rank is above q, so U(r, p, q) is
+    `order[:ends[q]]`.  Counts:
+    `levels[k]` is s(S_k) with preimage weights, grown by `_join`;
+    `weighted[r, ranks]` maps each element of T(r, ranks) to its number
+    of R in S_r; `depths` maps each element asked about to the number of
+    sorting passes that sort it.
     """
 
     def __init__(self) -> None:
         self.sets: dict[int, list[set[bytes]]] = {}
-        self.tables: dict[tuple[int, tuple[int, ...]], set[bytes]] = {}
-        self.unions: dict[tuple[int, int], tuple[list[bytes], list[int]]] = {}
+        self.unions: dict[int, list[tuple[list[bytes], list[int]]]] = {}
         self.levels: list[dict[bytes, int]] = [{b"": 1}]
         self.weighted: dict[tuple[int, tuple[int, ...]], dict[bytes, int]] = {}
         self.depths: dict[bytes, int] = {}
@@ -290,29 +326,12 @@ class _Store:
             levels.append(_peel_join(self, len(levels), t))
         return levels[n]
 
-    def table(self, r: int, ranks: tuple[int, ...]) -> set[bytes]:
-        """T(r, ranks) for decreasing `ranks`; T(r, ()) is s(S_r).  The
-        children of a table, one per rank below its last, are built
-        together by one `_put_below` per element."""
-        if not ranks:
-            return self.image(r, 1)
-        if (r, ranks) not in self.tables:
-            parent = tuple(v - 1 for v in ranks[:-1])
-            below = parent[-1] if parent else r + 1
-            children: list[set[bytes]] = [set() for _ in range(below)]
-            skips = _skips(r + len(parent), below)
-            for c in self.table(r, parent):
-                for out, key in zip(children, _put_below(c, skips)):
-                    out.add(key)
-            for rank, child in enumerate(children, 1):
-                self.tables[r, ranks[:-1] + (rank,)] = child
-        return self.tables[r, ranks]
-
     def weighted_table(self, r: int,
                        ranks: tuple[int, ...]) -> dict[bytes, int]:
-        """`table` with weights: T(r, ranks) with each element mapped to
-        its number of R in S_r, built the same way; T(r, ()) is s(S_r)
-        with preimage weights, grown by `_join`."""
+        """T(r, ranks) for decreasing `ranks`, each element mapped to its
+        number of R in S_r; T(r, ()) is s(S_r) with preimage weights,
+        grown by `_join`.  The children of a table, one per rank below
+        its last, are built together by one `_put_below` per element."""
         if not ranks:
             while len(self.levels) <= r:
                 self.levels.append(_join(self.levels, len(self.levels)))
@@ -330,24 +349,16 @@ class _Store:
         return self.weighted[r, ranks]
 
     def union(self, r: int, p: int, q: int) -> list[bytes]:
-        """U(r, p, q): the union of the T(r, ranks) with all p ranks in
-        q+1..r+p.  It shrinks as q grows, so one list serves every q."""
-        if p == 0:
-            return list(self.image(r, 1))
-        if (r, p) not in self.unions:
-            seen: set[bytes] = set()
-            order: list[bytes] = []
-            ends = [0] * (r + 1)
-            for low in range(r, -1, -1):
-                # the rank sets whose smallest rank is low + 1
-                for upper in itertools.combinations(
-                        range(r + p, low + 1, -1), p - 1):
-                    fresh = self.table(r, upper + (low + 1,)) - seen
-                    seen |= fresh
-                    order.extend(fresh)
-                ends[low] = len(order)
-            self.unions[r, p] = order, ends
-        order, ends = self.unions[r, p]
+        """U(r, p, q): the union of the T(r, ranks) whose p ranks all lie
+        in q+1..r+p.  Level 0 is s(S_r), every element of rank r+1; each
+        level above is grown once from the one below it."""
+        levels = self.unions.get(r)
+        if levels is None:
+            level = list(self.image(r, 1))
+            levels = self.unions[r] = [(level, [len(level)] * (r + 1) + [0])]
+        while len(levels) <= p:
+            levels.append(_nest(*levels[-1], r + len(levels) - 1))
+        order, ends = levels[p]
         return order[:ends[q]]
 
     def depth(self, x: bytes) -> int:
@@ -432,7 +443,7 @@ def image_of_iterate(
     preimage weight is formed.  Past t = n-1 the image is the identity
     alone.  Keeping the elements of the 0-fold image (all of S_n) is
     refused above n = `KEEP_ALL_MAX_N`, whatever `max_n` says.
-    `shards` must be >= 1 and is otherwise ignored; ROADMAP item 6
+    `shards` must be >= 1 and is otherwise ignored; ROADMAP item 1
     removes it together with the benchmark plans that pass it.
     """
     _require_within(n, max_n)
@@ -485,6 +496,7 @@ def characterize_membership_rule(
     if m >= 3 and n == 2 * m - 3:
         if tail_length(p) >= t and descent_tops_are_lr_maxima(p):
             return True, "thm2-characterized"
+        from .constructions import zeta
         if any(p == zeta(ell, m) for ell in range(3, m + 1)):
             return True, "thm2-zeta"
         return False, "thm2-characterized"
@@ -559,6 +571,7 @@ def verify_theorem2(m: int, max_n: int | None = None) -> VerificationReport:
     pattern)."""
     if m < 3:
         raise PreconditionError(f"needs m >= 3, got m={m}")
+    from .constructions import zeta
     n = 2 * m - 3
     report = image_of_iterate(n, m - 3, keep_elements=True, max_n=max_n)
     assert report.elements is not None
@@ -701,7 +714,7 @@ def verify_west_zeilberger(n: int, max_n: int | None = None) -> VerificationRepo
 def verify_all(max_n: int, shards: int = 1) -> list[VerificationReport]:
     """Every verification claim instantiated over all parameters that fit
     within the bound.  `shards` must be >= 1 and is otherwise ignored;
-    ROADMAP item 6 removes it together with the benchmark plans that
+    ROADMAP item 1 removes it together with the benchmark plans that
     pass it."""
     _resolve_bound(max_n)
     if shards < 1:

@@ -31,7 +31,8 @@ _COMMANDS = (
      ("stacksortlab.lab", "stacksortlab.constructions",
       "stacksortlab.patterns", "dataclasses", "json", "csv"), ()),
     (["zeta", "--l", "3", "--m", "5"], ("stacksortlab.lab",), ()),
-    (["count-image", "--n", "5", "--t", "1"], (), ("stacksortlab.lab",)),
+    (["count-image", "--n", "5", "--t", "1"], ("stacksortlab.constructions",),
+     ("stacksortlab.lab",)),
 )
 
 # the names the package exported when it imported every module eagerly

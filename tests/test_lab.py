@@ -302,6 +302,32 @@ def test_unions_match_nested_insertions():
                     *_nested_insertions(r, p, q).values()), (r, p, q)
 
 
+def test_unions_sort_each_distinct_element_once(monkeypatch):
+    # level l+1 of the nested insertions costs one `_put_below` per
+    # distinct element of level l, however many tables hold it
+    calls = _count_calls(monkeypatch, "_put_below")
+    for r in range(8):
+        sizes = [len(_Store().union(r, p, 0)) for p in range(7)]
+        for p in range(1, 6):
+            store = _Store()
+            calls.clear()
+            store.union(r, p, 0)
+            assert len(calls) == sum(sizes[:p]), (r, p)
+            calls.clear()
+            store.union(r, p + 1, 0)
+            assert len(calls) == sizes[p], (r, p)
+
+
+def test_shared_unions_match_fresh_stores_out_of_order():
+    # descending p: a shared store reads levels it grew for a larger p
+    store = _Store()
+    for r in range(8):
+        for p in range(6, -1, -1):
+            fresh = _Store()
+            for q in range(r + 1):
+                assert store.union(r, p, q) == fresh.union(r, p, q), (r, p, q)
+
+
 def test_weighted_tables_match_nested_insertions():
     # each element of T(r, ranks) carries its number of R in S_r
     store = _Store()
