@@ -605,6 +605,14 @@ def test_t_stack_sortable_rows_past_brute_range():
                 for n in range(12)] == row, t
 
 
+def test_n_minus_two_passes_leave_only_the_endings_n_1():
+    # West: n-2 passes sort every permutation of [n] but the (n-2)! that
+    # end in n 1; the counts read weighted levels up to p = n-3
+    for n in range(2, 12):
+        assert count_t_stack_sortable(n, n - 2, max_n=11) == \
+            math.factorial(n) - math.factorial(n - 2), n
+
+
 def test_count_t_stack_sortable_matches_oracle():
     for n in range(9):
         for t in range(n + 2):
