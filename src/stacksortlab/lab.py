@@ -13,13 +13,16 @@ entry.
   union of nested-insertion tables, then n; all L with |L| < t together
   give s^t(S_{n-1}) n.  Both factors depend only on the kept part of L,
   so the join loops over kept sets, and the cost follows m = n - t.
-  The unions are built one level of insertion at a time, one sort per
-  distinct element, and never table by table.
 - Counts are weights.  `count_t_stack_sortable` sums, for every t >= 1,
   only the splits that s^t sends to the identity, by the same peel, so
   s^t(S_n) is never built.  Its factor for R is read off weighted
-  nested-insertion tables, which map each element to its number of R
-  and grow from s(S_r) with preimage weights (`_join`).
+  nested insertions, which map each element to its number of R and
+  start from s(S_r) with preimage weights (`_join`).
+
+Both engines grow the nested insertions one level of insertion at a
+time, never table by table, each level a list indexed by the rank of
+the last value inserted: the unions keep each distinct element once,
+at its largest rank, and the counts keep one weight map per rank.
 
 The levels are tiny next to n! (|s(S_9)| = 11033 and |s^2(S_9)| = 1081
 against 362880).  The default bound is n <= 10; 11 and 12 are allowed
@@ -233,10 +236,9 @@ def _skips(j: int, below: int) -> list[tuple[int, bytes, bytes]]:
              bytes([r])) for r in range(1, below + 1)]
 
 
-def _nest(order: list[bytes], ends: list[int],
-          j: int) -> tuple[list[bytes], list[int]]:
-    """The next level of nested insertions into s(S_r), r = len(ends) - 2,
-    from the level of length-j elements given as in `_Store.unions`.
+def _nest(level: list[list[bytes]], j: int) -> list[list[bytes]]:
+    """The next level of the nested insertions into s(S_r), r = len(level)
+    - 2, from the level of length-j elements given as in `_Store.unions`.
 
     The children of a table whose last rank is w have the last ranks
     1..w, and an element's child of each rank does not depend on the
@@ -244,25 +246,35 @@ def _nest(order: list[bytes], ends: list[int],
     children of ranks 1..w with one `_put_below`, and each child keeps
     the largest rank it is given.
     """
-    r = len(ends) - 2
+    r = len(level) - 2
     skips = _skips(j, r + 1)
     best: dict[bytes, int] = {}
     get = best.get
     for w in range(r + 1, 0, -1):
-        below = skips[:w]
-        for c in order[ends[w]:ends[w - 1]]:
-            for rank, x in enumerate(_put_below(c, below), 1):
+        for c in level[w]:
+            for rank, x in enumerate(_put_below(c, skips[:w]), 1):
                 if get(x, 0) < rank:
                     best[x] = rank
-    ranked: list[list[bytes]] = [[] for _ in range(r + 2)]
+    out: list[list[bytes]] = [[] for _ in level]
     for x, w in best.items():
-        ranked[w].append(x)
-    order = []
-    ends = [0] * (r + 2)
+        out[w].append(x)
+    return out
+
+
+def _weigh(level: list[dict[bytes, int]], j: int) -> list[dict[bytes, int]]:
+    """The next level of the weighted nested insertions into s(S_r), r =
+    len(level) - 2, from the level of length-j elements given as in
+    `_Store.weights`: as `_nest`, but the tables of one last rank are
+    summed, not merged, so each (element, last rank) entry gives its
+    children one `_put_below` and adds its weight to each."""
+    r = len(level) - 2
+    skips = _skips(j, r + 1)
+    out: list[dict[bytes, int]] = [{} for _ in level]
     for w in range(r + 1, 0, -1):
-        order += ranked[w]
-        ends[w - 1] = len(order)
-    return order, ends
+        for c, n in level[w].items():
+            for child, x in zip(out[1:], _put_below(c, skips[:w])):
+                child[x] = child.get(x, 0) + n
+    return out
 
 
 def _join(levels: list[dict[bytes, int]], k: int) -> dict[bytes, int]:
@@ -297,24 +309,24 @@ class _Store:
     """Levels, each built at most once and held until the store is
     dropped.  T(r, ranks) is the set of s(v_p ... s(v_1 s(R))) over s(R)
     in s(S_r), standardized, where v_1 > ... > v_p have the ranks `ranks`
-    among R and the v's.  Images: `sets[t][k]` is s^t(S_k), grown one
-    size at a time by `_peel_join`; `unions[r][p]` is level p of the
-    nested insertions into s(S_r), grown by `_nest`, as (order, ends):
-    `order` lists every element of some T(r, ranks) with p ranks by the
-    largest last rank of the tables that hold it, largest first, and
-    `ends[q]` counts those whose rank is above q, so U(r, p, q) is
-    `order[:ends[q]]`.  Counts:
-    `levels[k]` is s(S_k) with preimage weights, grown by `_join`;
-    `weighted[r, ranks]` maps each element of T(r, ranks) to its number
-    of R in S_r; `depths` maps each element asked about to the number of
-    sorting passes that sort it.
+    among R and the v's; its last rank is that of v_p, and s(S_r) itself
+    has the last rank r+1.  Level p of the nested insertions into s(S_r)
+    is a list indexed by last rank w = 0..r+1, grown from level p-1 and
+    starting from s(S_r) alone at w = r+1.  Images: `sets[t][k]` is
+    s^t(S_k), grown one size at a time by `_peel_join`; `unions[r][p]`,
+    grown by `_nest`, holds at w every element whose largest last rank
+    over the T(r, ranks) with p ranks is w.  Counts: `levels[k]` is s(S_k)
+    with preimage weights, grown by `_join`; `weights[r][p]`, grown by
+    `_weigh`, maps at w each element to its number of pairs (ranks, R)
+    with last rank w; `depths` maps each element asked about to the
+    number of sorting passes that sort it.
     """
 
     def __init__(self) -> None:
         self.sets: dict[int, list[set[bytes]]] = {}
-        self.unions: dict[int, list[tuple[list[bytes], list[int]]]] = {}
+        self.unions: dict[int, list[list[list[bytes]]]] = {}
         self.levels: list[dict[bytes, int]] = [{b"": 1}]
-        self.weighted: dict[tuple[int, tuple[int, ...]], dict[bytes, int]] = {}
+        self.weights: dict[int, list[list[dict[bytes, int]]]] = {}
         self.depths: dict[bytes, int] = {}
 
     def image(self, n: int, t: int) -> set[bytes]:
@@ -326,72 +338,57 @@ class _Store:
             levels.append(_peel_join(self, len(levels), t))
         return levels[n]
 
-    def weighted_table(self, r: int,
-                       ranks: tuple[int, ...]) -> dict[bytes, int]:
-        """T(r, ranks) for decreasing `ranks`, each element mapped to its
-        number of R in S_r; T(r, ()) is s(S_r) with preimage weights,
-        grown by `_join`.  The children of a table, one per rank below
-        its last, are built together by one `_put_below` per element."""
-        if not ranks:
-            while len(self.levels) <= r:
-                self.levels.append(_join(self.levels, len(self.levels)))
-            return self.levels[r]
-        if (r, ranks) not in self.weighted:
-            parent = tuple(v - 1 for v in ranks[:-1])
-            below = parent[-1] if parent else r + 1
-            children: list[dict[bytes, int]] = [{} for _ in range(below)]
-            skips = _skips(r + len(parent), below)
-            for c, w in self.weighted_table(r, parent).items():
-                for out, key in zip(children, _put_below(c, skips)):
-                    out[key] = out.get(key, 0) + w
-            for rank, child in enumerate(children, 1):
-                self.weighted[r, ranks[:-1] + (rank,)] = child
-        return self.weighted[r, ranks]
+    def preimages(self, k: int) -> dict[bytes, int]:
+        """s(S_k), each element mapped to its number of preimages under s,
+        grown one size at a time by `_join`."""
+        while len(self.levels) <= k:
+            self.levels.append(_join(self.levels, len(self.levels)))
+        return self.levels[k]
 
-    def union(self, r: int, p: int, q: int) -> list[bytes]:
+    def union(self, r: int, p: int, q: int) -> Iterator[bytes]:
         """U(r, p, q): the union of the T(r, ranks) whose p ranks all lie
-        in q+1..r+p.  Level 0 is s(S_r), every element of rank r+1; each
-        level above is grown once from the one below it."""
+        in q+1..r+p, that is whose last rank is above q, each element
+        once.  Each level is grown once from the one below it."""
         levels = self.unions.get(r)
         if levels is None:
-            level = list(self.image(r, 1))
-            levels = self.unions[r] = [(level, [len(level)] * (r + 1) + [0])]
+            levels = self.unions[r] = [
+                [[]] * (r + 1) + [list(self.image(r, 1))]]
         while len(levels) <= p:
-            levels.append(_nest(*levels[-1], r + len(levels) - 1))
-        order, ends = levels[p]
-        return order[:ends[q]]
+            levels.append(_nest(levels[-1], r + len(levels) - 1))
+        return itertools.chain(*levels[p][q + 1:])
+
+    def weighted(self, r: int, p: int) -> list[dict[bytes, int]]:
+        """Level p of the weighted nested insertions into s(S_r): at each
+        last rank w, every element of the T(r, ranks) with p ranks and
+        last rank w, mapped to its number of pairs (ranks, R), R in S_r.
+        Each level is grown once from the one below it."""
+        levels = self.weights.get(r)
+        if levels is None:
+            levels = self.weights[r] = [[{}] * (r + 1) + [self.preimages(r)]]
+        while len(levels) <= p:
+            levels.append(_weigh(levels[-1], r + len(levels) - 1))
+        return levels[p]
 
     def depth(self, x: bytes) -> int:
         """The number of sorting passes that sort x, found once for x and
         for every element its passes go through."""
-        chain: list[bytes] = []
-        while x not in self.depths:
+        d = self.depths.get(x)
+        if d is None:
             y = bytes(stack_sort(x))
-            if y == x:  # a pass fixes the identity alone
-                self.depths[x] = 0
-            else:
-                chain.append(x)
-                x = y
-        count = self.depths[x]
-        for y in reversed(chain):
-            count += 1
-            self.depths[y] = count
-        return count
+            # a pass fixes the identity alone
+            d = self.depths[x] = 0 if y == x else 1 + self.depth(y)
+        return d
 
     def reach(self, p: int, r: int, e: int) -> int:
         """H(p, r, e): the pairs of p ranks in [r+p] and an R in S_r whose
-        element of T(r, ranks) e passes sort, read off the weighted
-        tables."""
-        total = 0
-        ident = bytes(range(1, r + p + 1))
-        for ranks in itertools.combinations(range(r + p, 0, -1), p):
-            table = self.weighted_table(r, ranks)
-            if e == 0:  # only the identity is sorted by no pass
-                total += table.get(ident, 0)
-            else:
-                total += sum(w for x, w in table.items()
-                             if self.depth(x) <= e)
-        return total
+        element of T(r, ranks) e passes sort, read off level p of the
+        weighted nested insertions."""
+        level = self.weighted(r, p)
+        if e == 0:  # only the identity is sorted by no pass
+            ident = bytes(range(1, r + p + 1))
+            return sum(table.get(ident, 0) for table in level)
+        return sum(w for table in level for x, w in table.items()
+                   if self.depth(x) <= e)
 
 
 _STORE: contextvars.ContextVar[_Store | None] = contextvars.ContextVar(
@@ -497,7 +494,8 @@ def characterize_membership_rule(
         if tail_length(p) >= t and descent_tops_are_lr_maxima(p):
             return True, "thm2-characterized"
         from .constructions import zeta
-        if any(p == zeta(ell, m) for ell in range(3, m + 1)):
+        # zeta(ell, m) starts with ell, so p can only be zeta(p[0], m)
+        if 3 <= p[0] <= m and p == zeta(p[0], m):
             return True, "thm2-zeta"
         return False, "thm2-characterized"
     if t == 0:

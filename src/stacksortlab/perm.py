@@ -120,12 +120,13 @@ def tail_length(p: Sequence[int]) -> int:
     return ell
 
 
-def parse_permutation(text: str, max_len: int = MAX_PARSE_LEN) -> Perm:
+def parse_permutation(text: str) -> Perm:
     """Parse one-line notation.
 
     Space-separated integers are the canonical form (``4 1 6 2``); a
     contiguous digit string (``4162``) is accepted for permutations with
-    single-digit entries.  Errors carry the 1-based offending position.
+    single-digit entries.  More than `MAX_PARSE_LEN` entries are refused.
+    Errors carry the 1-based offending position.
     """
     s = text.strip()
     if not s:
@@ -146,9 +147,9 @@ def parse_permutation(text: str, max_len: int = MAX_PARSE_LEN) -> Perm:
                     f"invalid character {ch!r} at character {idx}",
                     position=idx)
             entries.append(int(ch))
-    if len(entries) > max_len:
-        raise ParseError(f"permutation longer than {max_len} entries",
-                         position=max_len + 1)
+    if len(entries) > MAX_PARSE_LEN:
+        raise ParseError(f"permutation longer than {MAX_PARSE_LEN} entries",
+                         position=MAX_PARSE_LEN + 1)
     seen: set[int] = set()
     for idx, v in enumerate(entries, start=1):
         if v in seen:

@@ -33,6 +33,7 @@ from stacksortlab import (
     verify_thm3_count,
     verify_west_zeilberger,
     west_zeilberger_count,
+    zeta,
 )
 from stacksortlab import lab
 from stacksortlab.lab import (_brute_image, _image, _predicted_image,
@@ -178,16 +179,16 @@ def _count_calls(monkeypatch, name: str) -> list[tuple]:
 
 
 def _count_weighted_builds(monkeypatch) -> list[tuple]:
-    """Record (r, ranks) each time `_Store.weighted_table` is asked for a
-    table its store does not hold, so builds it and its siblings."""
+    """Record (r, p) each time a store grows level p >= 1 of the weighted
+    nested insertions into s(S_r)."""
     builds: list[tuple] = []
-    original = _Store.weighted_table
+    original = lab._weigh
 
-    def counted(self, r, ranks):
-        if ranks and (r, ranks) not in self.weighted:
-            builds.append((r, ranks))
-        return original(self, r, ranks)
-    monkeypatch.setattr(_Store, "weighted_table", counted)
+    def counted(level, j):
+        r = len(level) - 2
+        builds.append((r, j - r + 1))
+        return original(level, j)
+    monkeypatch.setattr(lab, "_weigh", counted)
     return builds
 
 
@@ -198,10 +199,10 @@ def test_verify_all_builds_each_level_once(monkeypatch):
     assert all(r.passed for r in verify_all(8))
     # the weighted engine serves only the two-pass counts: s(S_k) for
     # k = 1..6, read by the one-value tables T(r, (v,)) for r = 0..6,
-    # all v of one r built together
+    # all v of one r built together as level 1
     assert [k for _, k in joins] == list(range(1, 7))
     assert sorted(r for r, _ in builds) == list(range(7))
-    assert all(len(ranks) == 1 for _, ranks in builds)
+    assert all(p == 1 for _, p in builds)
     # the images build each set level s^t(S_k) once, up to the largest n
     # asked with that t: s(S_5) for theorem2 at m = 4, s^2(S_7) at m = 5,
     # and n = 8 for every t >= 3 (t >= 8 is clamped to 7)
@@ -249,7 +250,7 @@ def test_set_images_match_weight_keys():
     # one more pass over s^{t-1}(S_n)
     weights = _Store()
     for n in range(11):
-        assert _image(n, 1) == set(weights.weighted_table(n, ())), n
+        assert _image(n, 1) == set(weights.preimages(n)), n
         for t in range(2, n + 2):
             assert _image(n, t) == {bytes(stack_sort(x))
                                     for x in _image(n, t - 1)}, (n, t)
@@ -296,7 +297,7 @@ def test_unions_match_nested_insertions():
     for r in range(7):
         for p in range(7 - r):
             for q in range(r + 1):
-                union = store.union(r, p, q)
+                union = list(store.union(r, p, q))
                 assert len(union) == len(set(union)), (r, p, q)
                 assert {tuple(y) for y in union} == set().union(
                     *_nested_insertions(r, p, q).values()), (r, p, q)
@@ -307,7 +308,7 @@ def test_unions_sort_each_distinct_element_once(monkeypatch):
     # distinct element of level l, however many tables hold it
     calls = _count_calls(monkeypatch, "_put_below")
     for r in range(8):
-        sizes = [len(_Store().union(r, p, 0)) for p in range(7)]
+        sizes = [len(list(_Store().union(r, p, 0))) for p in range(7)]
         for p in range(1, 6):
             store = _Store()
             calls.clear()
@@ -325,18 +326,41 @@ def test_shared_unions_match_fresh_stores_out_of_order():
         for p in range(6, -1, -1):
             fresh = _Store()
             for q in range(r + 1):
-                assert store.union(r, p, q) == fresh.union(r, p, q), (r, p, q)
+                assert list(store.union(r, p, q)) == \
+                    list(fresh.union(r, p, q)), (r, p, q)
 
 
 def test_weighted_tables_match_nested_insertions():
-    # each element of T(r, ranks) carries its number of R in S_r
+    # at last rank w, each element carries its number of (ranks, R) over
+    # the T(r, ranks) whose last rank is w; T(r, ()) has rank r+1
     store = _Store()
     for r in range(8):
         for p in range(8 - r):
+            expected = [Counter() for _ in range(r + 2)]
             for ranks, counts in _nested_insertions(r, p, 0).items():
-                table = store.weighted_table(r, ranks)
-                assert {tuple(y): w for y, w in table.items()} == counts, \
-                    (r, ranks)
+                expected[ranks[-1] if ranks else r + 1].update(counts)
+            level = store.weighted(r, p)
+            assert [{tuple(y): w for y, w in table.items()}
+                    for table in level] == expected, (r, p)
+
+
+def test_weighted_levels_sort_each_entry_once(monkeypatch):
+    # level l+1 of the weighted nested insertions costs one `_put_below`
+    # per (element, last rank) entry of level l, however many tables of
+    # that rank hold it, and a shared store grows each level once
+    calls = _count_calls(monkeypatch, "_put_below")
+    for r in range(8):
+        sizes = [sum(map(len, _Store().weighted(r, p))) for p in range(7)]
+        for p in range(1, 6):
+            store = _Store()
+            calls.clear()
+            store.weighted(r, p)
+            assert len(calls) == sum(sizes[:p]), (r, p)
+            calls.clear()
+            store.weighted(r, p + 1)
+            assert len(calls) == sizes[p], (r, p)
+            store.weighted(r, p + 1)
+            assert len(calls) == sizes[p], (r, p)
 
 
 def test_passes_stop_at_the_identity_for_any_t():
@@ -460,6 +484,18 @@ def test_characterize_undecidable_over_bound():
         characterize_membership_rule(identity(11), 2)
 
 
+def test_characterize_reads_one_zeta_candidate():
+    # zeta(ell, m) starts with ell, so the n = 2m-3 rule compares p with
+    # zeta(p[0], m) alone; that must agree with comparing every member
+    for m in range(3, 6):
+        zetas = [zeta(ell, m) for ell in range(3, m + 1)]
+        for p in perms(2 * m - 3):
+            assert (3 <= p[0] <= m and p == zeta(p[0], m)) == \
+                any(p == z for z in zetas), (m, p)
+            rule = characterize_membership_rule(p, m - 3)[1]
+            assert (rule == "thm2-zeta") == (p in zetas), (m, p)
+
+
 def test_characterize_input_errors():
     with pytest.raises(InvalidPermutationError):
         characterize_membership_rule((2, 5, 8, 4), 1)
@@ -522,7 +558,7 @@ def test_image_weights_match_brute_force():
     # every key of s(S_n) carries its number of preimages under s
     store = _Store()
     for n in range(9):
-        level = store.weighted_table(n, ())
+        level = store.preimages(n)
         assert sum(level.values()) == math.factorial(n), n
         preimages = Counter(stack_sort(p) for p in perms(n))
         assert {tuple(q): w for q, w in level.items()} == preimages, n
@@ -541,7 +577,7 @@ def test_targeted_counts_match_image_weights():
     weights = _Store()
 
     def expected(n, t):
-        return sum(w for x, w in weights.weighted_table(n, ()).items()
+        return sum(w for x, w in weights.preimages(n).items()
                    if weights.depth(x) <= t - 1)
     for n in range(11):
         for t in range(1, n + 2):
@@ -557,7 +593,7 @@ def _fail_on_any_level(monkeypatch) -> None:
         raise AssertionError("the count built a level")
     monkeypatch.setattr(lab, "_join", failing)
     monkeypatch.setattr(lab, "_peel_join", failing)
-    monkeypatch.setattr(_Store, "weighted_table", failing)
+    monkeypatch.setattr(_Store, "weighted", failing)
 
 
 def test_one_stack_sortable_count_builds_no_level(monkeypatch):
@@ -585,7 +621,7 @@ def test_two_stack_sortable_count_builds_no_twice_level(monkeypatch):
     # no set level and no level of s^2
     assert [k for _, k in joins] == list(range(1, 11))
     assert sorted(r for r, _ in builds) == list(range(11))
-    assert all(len(ranks) == 1 for _, ranks in builds)
+    assert all(p == 1 for _, p in builds)
     assert not set_joins
 
 
