@@ -211,6 +211,22 @@ def test_verify_all_builds_each_level_once(monkeypatch):
         + [(k, t) for t in range(3, 8) for k in range(1, 9)])
 
 
+def test_verify_all_asks_for_the_planned_images(monkeypatch):
+    # the grid that perfbench/plans.py pins as VERIFY_PERMS: 53 image
+    # calls, and sum n! = 415141 over those that build or keep elements
+    calls = []
+    original = lab.image_of_iterate
+
+    def counted(n, t, keep_elements=False, **kwargs):
+        calls.append((n, t, keep_elements))
+        return original(n, t, keep_elements=keep_elements, **kwargs)
+    monkeypatch.setattr(lab, "image_of_iterate", counted)
+    assert len(verify_all(8)) == 55
+    assert len(calls) == 53
+    assert sum(math.factorial(n) for n, t, keep in calls
+               if t or keep) == 415141
+
+
 def test_level_store_lives_only_inside_its_call(monkeypatch):
     verify_all(4)
     assert lab._STORE.get() is None
@@ -547,6 +563,49 @@ def test_verify_named_counts():
                                   verify_west_zeilberger(5)))
 
 
+def _record(report) -> tuple[dict, list]:
+    """The record, and its parameter names in the order the CLI prints."""
+    rec = report.as_record()
+    return rec, list(rec["parameters"])
+
+
+def test_claim_records_are_pinned():
+    def rec(claim, parameters, expected):
+        return ({"claim": claim, "parameters": parameters,
+                 "expected": expected, "observed": expected, "pass": True},
+                list(parameters))
+    assert _record(verify_theorem1(3, 4)) == rec(
+        "theorem1", {"m": 3, "n": 4, "set_equal": True}, 5)
+    assert _record(verify_theorem2(4)) == rec(
+        "theorem2", {"m": 4, "n": 5, "set_equal": True, "zeta_exact": True},
+        17)
+    assert _record(verify_prop2(3, 6)) == rec(
+        "prop2", {"m": 3, "n_max": 6, "counts": [6, 5, 5, 5]}, 4)
+    assert _record(verify_thm3_count(4)) == rec("thm3_count", {"n": 4}, 15)
+    assert _record(verify_catalan(5)) == rec("catalan", {"n": 5}, 42)
+    assert _record(verify_west_zeilberger(4)) == rec(
+        "west_zeilberger", {"n": 4}, 22)
+
+
+def test_image_claims_fail_when_the_predicted_set_misses_an_element(
+        monkeypatch):
+    original = lab._predicted_image
+
+    def short(n, t):
+        return frozenset(sorted(original(n, t))[1:])
+    monkeypatch.setattr(lab, "_predicted_image", short)
+    for report in (verify_theorem1(3, 4), verify_theorem2(4)):
+        assert report.parameters["set_equal"] is False, report.claim
+        assert report.expected == report.observed and not report.passed
+
+
+def test_theorem2_fails_when_the_pattern_check_finds_no_zeta(monkeypatch):
+    monkeypatch.setattr(lab, "descent_tops_are_lr_maxima", lambda p: True)
+    report = verify_theorem2(4)
+    assert report.parameters["set_equal"] is True
+    assert report.parameters["zeta_exact"] is False and not report.passed
+
+
 def test_count_t_stack_sortable_examples():
     assert count_t_stack_sortable(4, 1) == 14
     assert count_t_stack_sortable(3, 2) == 6
@@ -698,6 +757,14 @@ def test_explore_tables():
         (4, 0, 24), (5, 1, 17), (6, 2, 15)]
     assert explore_open(1) == []
     assert [(r.n, r.count) for r in explore_open(2)] == [(2, 2)]
+
+
+def test_explore_pins_fire_on_a_wrong_bell_number(monkeypatch):
+    monkeypatch.setattr(lab, "bell", lambda k: bell(k) + 1)
+    for m, max_n in ((2, None), (3, None), (7, 12)):
+        with pytest.raises(AssertionError):
+            explore_open(m, max_n=max_n)
+    assert explore_open(1) == []
 
 
 def test_verify_all_passes_at_small_bound():
