@@ -606,6 +606,18 @@ def test_theorem2_fails_when_the_pattern_check_finds_no_zeta(monkeypatch):
     assert report.parameters["zeta_exact"] is False and not report.passed
 
 
+def test_claims_past_the_bound_refuse_before_their_expected_values():
+    # B_m, the zetas and the closed forms grow with m or n: a claim past
+    # the bound raises before it builds any of them
+    for claim in (lambda: verify_theorem1(10**5, 2 * 10**5),
+                  lambda: verify_theorem2(10**5),
+                  lambda: verify_thm3_count(10**6),
+                  lambda: verify_catalan(10**9),
+                  lambda: verify_west_zeilberger(10**9)):
+        with pytest.raises(ResourceBoundError):
+            claim()
+
+
 def test_count_t_stack_sortable_examples():
     assert count_t_stack_sortable(4, 1) == 14
     assert count_t_stack_sortable(3, 2) == 6
