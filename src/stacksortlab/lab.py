@@ -30,12 +30,21 @@ behind an explicit `max_n` with the hard cap at 12.  Every image is
 built in the calling process.
 
 A `_Store` holds both engines' levels, each built at most once and
-kept until the store is dropped.  `verify_all`, `verify_prop2`
-and `explore_open` share one store across every level they ask for: the
-outermost of them opens it and drops it on return.  Any other call
-builds its own store and drops it on return, so no level outlives the
-call that asked for it.  The avoiders of the barred pattern are counted
-and listed by their generating tree, so no production path scans S_n.
+kept until the store is dropped.  `verify_all` and the windows that
+`verify_prop2` and `explore_open` read (`_window`) share one store
+across every level they ask for: the outermost of them opens it and
+drops it on return.  Any other call builds its own store and drops it
+on return, so no level outlives the call that asked for it.  The
+avoiders of the barred pattern are counted and listed by their
+generating tree, so no production path scans S_n.
+
+Each claim builds its report in one place.  `_image_claim` serves
+Theorems 1 and 2: it keeps the elements of s^{n-m}(S_n) and compares
+them with the characterized set plus the zetas (none for Theorem 1),
+and, given zetas, checks that they are exactly the elements that
+contain the barred pattern.  `_count_claim` serves the three counts:
+the engine's count against B_n, the Catalan number or West and
+Zeilberger's closed form.
 """
 
 from __future__ import annotations
@@ -165,10 +174,6 @@ class VerificationReport(NamedTuple):
             "expected": self.expected, "observed": self.observed,
             "pass": self.passed,
         }
-
-
-def _standard_perms(n: int) -> Iterator[Perm]:
-    return itertools.permutations(range(1, n + 1))
 
 
 def _relabel_table(values: Sequence[int]) -> bytes:
@@ -411,18 +416,12 @@ def _sharing_levels() -> Iterator[None]:
         _STORE.reset(token)
 
 
-def _image(n: int, t: int) -> set[bytes]:
-    """s^t(S_n), byte-packed, for t >= 1, by the set join `_peel_join`.
-    Read from the shared store inside `_sharing_levels`, else from a fresh
-    one."""
-    return _store().image(n, t)
-
-
 def _brute_image(n: int, t: int) -> frozenset[Perm]:
     """s^t(S_n) from the definition: t passes over every permutation of
     [n].  The test oracle for `image_of_iterate`; no production path
     calls it."""
-    return frozenset(stack_sort_iterate(p, t) for p in _standard_perms(n))
+    return frozenset(stack_sort_iterate(p, t)
+                     for p in itertools.permutations(range(1, n + 1)))
 
 
 def image_of_iterate(
@@ -455,10 +454,11 @@ def image_of_iterate(
     start = time.perf_counter()
     if t == 0:
         # the 0-fold image is all of S_n; nothing to build for a count
-        elements = frozenset(_standard_perms(n)) if keep_elements else None
+        elements = (frozenset(itertools.permutations(range(1, n + 1)))
+                    if keep_elements else None)
         return ImageReport(n=n, t=t, count=math.factorial(n),
                            elements=elements, wall_time=time.perf_counter() - start)
-    image = _image(n, t)
+    image = _store().image(n, t)
     elements = frozenset(tuple(code) for code in image) if keep_elements else None
     return ImageReport(n=n, t=t, count=len(image), elements=elements,
                        wall_time=time.perf_counter() - start)
@@ -511,7 +511,7 @@ def characterize_membership_rule(
     # instead of a copy of every element as a tuple
     with _sharing_levels():
         image_of_iterate(n, t, max_n=max_n)
-        return bytes(p) in _image(n, t), "oracle-fallback"
+        return bytes(p) in _store().image(n, t), "oracle-fallback"
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +542,45 @@ def _predicted_image(n: int, t: int) -> frozenset[Perm]:
     return frozenset(tuple(q + fixed_tail) for q in level)
 
 
+def _image_claim(claim: str, m: int, n: int, expected: int,
+                 extra: frozenset[Perm],
+                 max_n: int | None) -> VerificationReport:
+    """Check |s^{n-m}(S_n)| = expected, with the image equal element by
+    element to the characterized set plus `extra`.  When `extra` is given,
+    also check that its members are exactly the image elements that
+    contain the barred pattern (`zeta_exact`)."""
+    report = image_of_iterate(n, n - m, keep_elements=True, max_n=max_n)
+    assert report.elements is not None
+    predicted = _predicted_image(n, n - m)
+    checks = {"set_equal": report.elements == (
+        predicted | extra if extra else predicted)}
+    if extra:
+        checks["zeta_exact"] = extra == {
+            p for p in report.elements if not descent_tops_are_lr_maxima(p)}
+    return VerificationReport(
+        claim=claim, parameters={"m": m, "n": n, **checks},
+        expected=expected, observed=report.count,
+        passed=expected == report.count and all(checks.values()))
+
+
+def _count_claim(claim: str, n: int, expected: int,
+                 observed: int) -> VerificationReport:
+    """The report of a count claim: expected == observed at size n."""
+    return VerificationReport(
+        claim=claim, parameters={"n": n},
+        expected=expected, observed=observed, passed=expected == observed)
+
+
+def _window(m: int, n_max: int, max_n: int | None) -> list[ImageReport]:
+    """The images of the (n-m)-fold map over S_n for n = m..n_max, built
+    over one shared store, or refused before any is built if n_max is
+    over the bound."""
+    _require_within(max(m, n_max), max_n)
+    with _sharing_levels():
+        return [image_of_iterate(n, n - m, max_n=max_n)
+                for n in range(m, n_max + 1)]
+
+
 def verify_theorem1(m: int, n: int,
                     max_n: int | None = None) -> VerificationReport:
     """Check |image of the (n-m)-fold map over S_n| = B_m for n >= 2m-2,
@@ -549,17 +588,8 @@ def verify_theorem1(m: int, n: int,
     if m < 1 or n < m or n < 2 * m - 2:
         raise PreconditionError(
             f"needs 1 <= m <= n and n >= 2m-2, got m={m}, n={n}")
-    report = image_of_iterate(n, n - m, keep_elements=True, max_n=max_n)
-    assert report.elements is not None
-    predicted = _predicted_image(n, n - m)
-    expected = bell(m)
-    observed = report.count
-    set_equal = report.elements == predicted
-    return VerificationReport(
-        claim="theorem1",
-        parameters={"m": m, "n": n, "set_equal": set_equal},
-        expected=expected, observed=observed,
-        passed=(expected == observed) and set_equal)
+    _require_within(n, max_n)  # before B_m, which grows with m
+    return _image_claim("theorem1", m, n, bell(m), frozenset(), max_n)
 
 
 def verify_theorem2(m: int, max_n: int | None = None) -> VerificationReport:
@@ -570,23 +600,10 @@ def verify_theorem2(m: int, max_n: int | None = None) -> VerificationReport:
     if m < 3:
         raise PreconditionError(f"needs m >= 3, got m={m}")
     from .constructions import zeta
-    n = 2 * m - 3
-    report = image_of_iterate(n, m - 3, keep_elements=True, max_n=max_n)
-    assert report.elements is not None
-    characterized = _predicted_image(n, m - 3)
+    _require_within(2 * m - 3, max_n)  # before B_m and the zetas
     zetas = frozenset(zeta(ell, m) for ell in range(3, m + 1))
-    set_equal = report.elements == characterized | zetas
-    containers = frozenset(p for p in report.elements
-                           if not descent_tops_are_lr_maxima(p))
-    zeta_exact = containers == zetas
-    expected = bell(m) + m - 2
-    observed = report.count
-    return VerificationReport(
-        claim="theorem2",
-        parameters={"m": m, "n": n, "set_equal": set_equal,
-                    "zeta_exact": zeta_exact},
-        expected=expected, observed=observed,
-        passed=(expected == observed) and set_equal and zeta_exact)
+    return _image_claim("theorem2", m, 2 * m - 3, bell(m) + m - 2, zetas,
+                        max_n)
 
 
 def verify_prop2(m: int, n_max: int,
@@ -598,9 +615,7 @@ def verify_prop2(m: int, n_max: int,
     if m < 1 or n_max < m:
         raise PreconditionError(
             f"needs 1 <= m <= n_max, got m={m}, n_max={n_max}")
-    with _sharing_levels():
-        counts = [image_of_iterate(n, n - m, max_n=max_n).count
-                  for n in range(m, n_max + 1)]
+    counts = [row.count for row in _window(m, n_max, max_n)]
     checks = 0
     passed = 0
     for i in range(len(counts) - 1):
@@ -682,20 +697,14 @@ def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
 
 def verify_thm3_count(n: int, max_n: int | None = None) -> VerificationReport:
     """Check that barred-pattern avoiders of [n] are counted by B_n."""
-    observed = count_avoiders(n, max_n=max_n)
-    expected = bell(n)
-    return VerificationReport(
-        claim="thm3_count", parameters={"n": n},
-        expected=expected, observed=observed, passed=expected == observed)
+    observed = count_avoiders(n, max_n=max_n)  # raises past the bound
+    return _count_claim("thm3_count", n, bell(n), observed)
 
 
 def verify_catalan(n: int, max_n: int | None = None) -> VerificationReport:
     """Check the 1-pass-sortable count against the Catalan number."""
     observed = count_t_stack_sortable(n, 1, max_n=max_n)
-    expected = catalan(n)
-    return VerificationReport(
-        claim="catalan", parameters={"n": n},
-        expected=expected, observed=observed, passed=expected == observed)
+    return _count_claim("catalan", n, catalan(n), observed)
 
 
 def verify_west_zeilberger(n: int, max_n: int | None = None) -> VerificationReport:
@@ -703,10 +712,8 @@ def verify_west_zeilberger(n: int, max_n: int | None = None) -> VerificationRepo
     if n < 1:
         raise PreconditionError(f"needs n >= 1, got n={n}")
     observed = count_t_stack_sortable(n, 2, max_n=max_n)
-    expected = west_zeilberger_count(n)
-    return VerificationReport(
-        claim="west_zeilberger", parameters={"n": n},
-        expected=expected, observed=observed, passed=expected == observed)
+    return _count_claim("west_zeilberger", n, west_zeilberger_count(n),
+                        observed)
 
 
 def verify_all(max_n: int, shards: int = 1) -> list[VerificationReport]:
@@ -749,21 +756,13 @@ def explore_open(m: int, max_n: int | None = None) -> list[ImageReport]:
     """
     if m < 1:
         raise PreconditionError(f"m must be positive, got {m}")
-    _require_within(max(m, 2 * m - 2), max_n)
-    with _sharing_levels():
-        rows = [image_of_iterate(n, n - m, max_n=max_n)
-                for n in range(m, 2 * m - 1)]
-    if rows:
-        if rows[0].count != math.factorial(m):
-            raise AssertionError(
-                f"first explore entry must be m! = {math.factorial(m)}, "
-                f"got {rows[0].count}")
-        if rows[-1].count != bell(m):
-            raise AssertionError(
-                f"last explore entry must be B_m = {bell(m)}, "
-                f"got {rows[-1].count}")
-        if m >= 3 and rows[m - 3].count != bell(m) + m - 2:
-            raise AssertionError(
-                f"entry at n = 2m-3 must be B_m + m - 2 = {bell(m) + m - 2}, "
-                f"got {rows[m - 3].count}")
+    rows = _window(m, 2 * m - 2, max_n)
+    # m! at n = m, B_m + m - 2 at n = 2m-3 and B_m at n = 2m-2; where two
+    # of these n coincide (m <= 3) so do their values
+    pins = {m: math.factorial(m), 2 * m - 3: bell(m) + m - 2,
+            2 * m - 2: bell(m)}
+    for row in rows:
+        if pins.get(row.n, row.count) != row.count:
+            raise AssertionError(f"explore entry at n = {row.n} must be "
+                                 f"{pins[row.n]}, got {row.count}")
     return rows

@@ -35,8 +35,8 @@ from stacksortlab import (
     west_zeilberger_count,
     zeta,
 )
-from stacksortlab import lab
-from stacksortlab.lab import (_brute_image, _image, _predicted_image,
+from stacksortlab import constructions, lab
+from stacksortlab.lab import (_brute_image, _predicted_image,
                               _sharing_levels, _Store)
 
 # ---------------------------------------------------------------------------
@@ -159,9 +159,9 @@ def test_twice_sorted_image_sizes():
 
 def test_thrice_and_four_times_sorted_image_sizes():
     # |s^3(S_n)| and |s^4(S_n)| for n = 0..11, past the default bound
-    assert [len(_image(n, 3)) for n in range(12)] == [
+    assert [len(lab._store().image(n, 3)) for n in range(12)] == [
         1, 1, 1, 1, 1, 2, 5, 15, 52, 207, 912, 4456]
-    assert [len(_image(n, 4)) for n in range(12)] == [
+    assert [len(lab._store().image(n, 4)) for n in range(12)] == [
         1, 1, 1, 1, 1, 1, 2, 5, 15, 52, 203, 882]
 
 
@@ -256,7 +256,7 @@ def test_shared_store_matches_brute_oracle_out_of_order():
     with _sharing_levels():
         for n in range(8, -1, -1):
             for t in range(1, n + 1):
-                assert {tuple(q) for q in _image(n, t)} == \
+                assert {tuple(q) for q in lab._store().image(n, t)} == \
                     _brute_image(n, t), (n, t)
 
 
@@ -266,10 +266,11 @@ def test_set_images_match_weight_keys():
     # one more pass over s^{t-1}(S_n)
     weights = _Store()
     for n in range(11):
-        assert _image(n, 1) == set(weights.preimages(n)), n
+        assert lab._store().image(n, 1) == set(weights.preimages(n)), n
         for t in range(2, n + 2):
-            assert _image(n, t) == {bytes(stack_sort(x))
-                                    for x in _image(n, t - 1)}, (n, t)
+            assert lab._store().image(n, t) == {
+                bytes(stack_sort(x))
+                for x in lab._store().image(n, t - 1)}, (n, t)
 
 
 def test_middle_windows_within_the_cap():
@@ -287,9 +288,9 @@ def test_images_nest_as_n_grows():
     with _sharing_levels():
         for m in range(1, 8):
             for n in range(m + 1, 12):
-                smaller = _image(n, n - m)
+                smaller = lab._store().image(n, n - m)
                 top = bytes([n + 1])
-                for x in _image(n + 1, n + 1 - m):
+                for x in lab._store().image(n + 1, n + 1 - m):
                     assert x.replace(top, b"") in smaller, (m, n, x)
 
 
@@ -386,9 +387,10 @@ def test_passes_stop_at_the_identity_for_any_t():
     assert count_t_stack_sortable(5, 10**4) == 120
     with _sharing_levels():
         # images clamp t to n-1 = 4, s^4(S_5), the identity alone
-        assert _image(5, 10**9) == {bytes(range(1, 6))}
+        assert lab._store().image(5, 10**9) == {bytes(range(1, 6))}
         store = lab._STORE.get()
-        assert max(store.sets) == 4 and _image(5, 4) is store.sets[4][5]
+        assert max(store.sets) == 4 and \
+            lab._store().image(5, 4) is store.sets[4][5]
         # counts ask how many passes an element needs, walking its
         # passes only up to the identity; 2 3 4 5 1 needs all n-1 = 4
         assert count_t_stack_sortable(7, 3) == 3494
@@ -555,6 +557,13 @@ def test_verify_prop2_chains():
     assert report.parameters["counts"] == [1, 1, 1, 1, 1, 1]
 
 
+def test_windows_past_the_bound_build_nothing(monkeypatch):
+    joins = _count_calls(monkeypatch, "_peel_join")
+    for window in (lambda: verify_prop2(3, 11), lambda: explore_open(7)):
+        with pytest.raises(ResourceBoundError):
+            window()
+    assert joins == []
+
 def test_verify_named_counts():
     assert verify_thm3_count(6).observed == 203
     assert verify_catalan(6).observed == 132
@@ -606,17 +615,22 @@ def test_theorem2_fails_when_the_pattern_check_finds_no_zeta(monkeypatch):
     assert report.parameters["zeta_exact"] is False and not report.passed
 
 
-def test_claims_past_the_bound_refuse_before_their_expected_values():
-    # B_m, the zetas and the closed forms grow with m or n: a claim past
+def test_claims_past_the_bound_refuse_before_their_expected_values(
+        monkeypatch):
+    # B_m, the zetas and the closed forms grow with m or n, so a claim past
     # the bound raises before it builds any of them
-    for claim in (lambda: verify_theorem1(10**5, 2 * 10**5),
-                  lambda: verify_theorem2(10**5),
-                  lambda: verify_thm3_count(10**6),
-                  lambda: verify_catalan(10**9),
-                  lambda: verify_west_zeilberger(10**9)):
+    def unreachable(*args):
+        raise AssertionError("built before the bound was checked")
+    for name in ("bell", "catalan", "west_zeilberger_count"):
+        monkeypatch.setattr(lab, name, unreachable)
+    monkeypatch.setattr(constructions, "zeta", unreachable)
+    for claim in (lambda: verify_theorem1(6, 11),
+                  lambda: verify_theorem2(7),
+                  lambda: verify_thm3_count(11),
+                  lambda: verify_catalan(11),
+                  lambda: verify_west_zeilberger(11)):
         with pytest.raises(ResourceBoundError):
             claim()
-
 
 def test_count_t_stack_sortable_examples():
     assert count_t_stack_sortable(4, 1) == 14
