@@ -11,8 +11,9 @@ entry.
   t-fold join: with |L| >= t it peels the top t-1 values off L, so the
   element is s^t(L) less its last t-1 entries, then one element of a
   union of nested-insertion tables, then n; all L with |L| < t together
-  give s^t(S_{n-1}) n.  Both factors depend only on the kept part of L,
-  so the join loops over kept sets, and the cost follows m = n - t.
+  give s^t(S_{n-1}) n, and so does L = [n-1], so that split is skipped.
+  Both factors depend only on the kept part of L, so the join loops over
+  kept sets, and the cost follows m = n - t.
 - Counts are weights.  `count_t_stack_sortable` sums, for every t >= 1,
   only the splits that s^t sends to the identity, by the same peel, so
   s^t(S_n) is never built.  Its factor for R is read off weighted
@@ -34,7 +35,10 @@ kept until the store is dropped.  `verify_all` and the windows that
 `verify_prop2` and `explore_open` read (`_window`) share one store
 across every level they ask for: the outermost of them opens it and
 drops it on return.  Any other call builds its own store and drops it
-on return, so no level outlives the call that asked for it.  The
+on return, so no level outlives the call that asked for it.  The relabel
+and skip tables (`_kept_tables`, `_skips`) depend only on sizes, so they
+are per-process constants, never levels: at most 2^(k-1) pairs for each
+size k, under 4096 in all under the hard cap.  The
 avoiders of the barred pattern are counted and listed by their
 generating tree, so no production path scans S_n.
 
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import math
 import time
@@ -182,6 +187,15 @@ def _relabel_table(values: Sequence[int]) -> bytes:
     return bytes.maketrans(bytes(range(1, len(values) + 1)), bytes(values))
 
 
+@functools.cache
+def _kept_tables(k: int, kept: tuple[int, ...]) -> tuple[bytes, bytes]:
+    """The relabel tables onto `kept`, a subset of [k-1], and onto the
+    rest of [k-1], built once per process: at most 2^(k-1) pairs for
+    each k."""
+    return (_relabel_table(kept),
+            _relabel_table([v for v in range(1, k) if v not in kept]))
+
+
 def _peel_join(store: _Store, k: int, t: int) -> set[bytes]:
     """s^t(S_k) for t >= 1 as a set, joined over the kept sets K of the
     left value sets L of L k R; `store.sets[t][j]` is s^t(S_j) for j < k.
@@ -195,18 +209,18 @@ def _peel_join(store: _Store, k: int, t: int) -> set[bytes]:
     `store.union`, relabelled onto the rest of [k-1], with r = |R| and
     q = max K - |K| the values of the rest below max K, which no v may
     take.  So the join loops over K, not over L.  Every L with |L| < t
-    together gives s^t(S_{k-1}) k, which the store already holds.
+    together gives s^t(S_{k-1}) k, which the store already holds, and so
+    does L = [k-1] (K = [k-1-p], r = 0), so the join skips that K.
     """
     p = t - 1
     levels = store.sets[t]
     top = bytes([k])
     out = {x + top for x in levels[k - 1]}
-    for size in range(1, k - p):
+    for size in range(1, k - p - 1):
         lefts = [x[:size] for x in levels[size + p]]  # drops v_p ... v_1
         r = k - 1 - size - p
         for kept in itertools.combinations(range(1, k - p), size):
-            lt = _relabel_table(kept)
-            rt = _relabel_table([v for v in range(1, k) if v not in kept])
+            lt, rt = _kept_tables(k, kept)
             rights = [y.translate(rt) + top
                       for y in store.union(r, p, kept[-1] - size)]
             xs = [x.translate(lt) for x in lefts]
@@ -214,7 +228,8 @@ def _peel_join(store: _Store, k: int, t: int) -> set[bytes]:
     return out
 
 
-def _put_below(b: bytes, skips: list[tuple[int, bytes, bytes]]) -> list[bytes]:
+def _put_below(b: bytes,
+               skips: tuple[tuple[int, bytes, bytes], ...]) -> list[bytes]:
     """s(r b) for each (r, skip, head) of `skips` (see `_skips`), with b
     relabelled onto {1..len(b)+1} minus r.
 
@@ -234,11 +249,12 @@ def _put_below(b: bytes, skips: list[tuple[int, bytes, bytes]]) -> list[bytes]:
     return out
 
 
-def _skips(j: int, below: int) -> list[tuple[int, bytes, bytes]]:
+@functools.cache
+def _skips(j: int, below: int) -> tuple[tuple[int, bytes, bytes], ...]:
     """For r = 1..below: r, the table relabelling a length-j entry onto
-    {1..j+1} minus r, and r packed."""
-    return [(r, _relabel_table([v for v in range(1, j + 2) if v != r]),
-             bytes([r])) for r in range(1, below + 1)]
+    {1..j+1} minus r, and r packed; built once per process."""
+    return tuple((r, _relabel_table([v for v in range(1, j + 2) if v != r]),
+                  bytes([r])) for r in range(1, below + 1))
 
 
 def _nest(level: list[list[bytes]], j: int) -> list[list[bytes]]:
@@ -298,8 +314,7 @@ def _join(levels: list[dict[bytes, int]], k: int) -> dict[bytes, int]:
     for a in range(k):
         lefts = levels[a].items()
         for left in itertools.combinations(range(1, k), a):
-            rest = [v for v in range(1, k) if v not in left]
-            lt, rt = _relabel_table(left), _relabel_table(rest)
+            lt, rt = _kept_tables(k, left)
             rights = [(y.translate(rt) + top, wy)
                       for y, wy in levels[k - 1 - a].items()]
             for x, wx in lefts:

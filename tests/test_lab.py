@@ -250,6 +250,37 @@ def test_image_calls_outside_a_scope_share_nothing(monkeypatch):
     assert once > 0 and len(joins) == 2 * once
 
 
+def test_relabel_tables_are_built_once_per_process(monkeypatch):
+    # the relabel and skip tables depend only on sizes: a second call
+    # joins its own levels again but builds no table
+    lab._kept_tables.cache_clear()
+    lab._skips.cache_clear()
+    tables = _count_calls(monkeypatch, "_relabel_table")
+    image_of_iterate(9, 4)
+    count_t_stack_sortable(8, 2)
+    assert tables
+    tables.clear()
+    image_of_iterate(9, 4)
+    count_t_stack_sortable(8, 2)
+    assert tables == []
+    # one pair of tables per subset of [k-1], whatever t asks for it
+    lab._kept_tables.cache_clear()
+    for n in range(10):
+        for t in range(1, 9):
+            image_of_iterate(n, t)
+    assert 0 < lab._kept_tables.cache_info().currsize <= sum(
+        2 ** (k - 1) for k in range(1, 10))
+
+
+def test_peel_join_skips_the_split_that_repeats_the_last_level():
+    # L = [k-1], R empty gives s^t(S_{k-1}) k, which the join starts
+    # from, so no level reads the r = 0 union that split would need
+    with _sharing_levels():
+        for t in range(1, 8):
+            lab._store().image(8, t)
+        assert 0 not in lab._store().unions
+
+
 def test_shared_store_matches_brute_oracle_out_of_order():
     # descending n, then ascending t: the store is asked for levels below
     # the ones it has already grown
