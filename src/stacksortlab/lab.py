@@ -18,7 +18,10 @@ entry.
   only the splits that s^t sends to the identity, by the same peel, so
   s^t(S_n) is never built.  Its factor for R is read off weighted
   nested insertions, which map each element to its number of R and
-  start from s(S_r) with preimage weights (`_join`).
+  start from s(S_r) with preimage weights (`_join`).  The factor that
+  asks for the identity is read one level lower, off the elements that
+  one pass sorts and their cut points, so a two-pass count grows no
+  nested-insertion level at all.
 
 Both engines grow the nested insertions one level of insertion at a
 time, never table by table, each level a list indexed by the rank of
@@ -30,17 +33,18 @@ against 362880).  The default bound is n <= 10; 11 and 12 are allowed
 behind an explicit `max_n` with the hard cap at 12.  Every image is
 built in the calling process.
 
-A `_Store` holds both engines' levels, each built at most once and
-kept until the store is dropped.  `verify_all` and the windows that
-`verify_prop2` and `explore_open` read (`_window`) share one store
-across every level they ask for: the outermost of them opens it and
-drops it on return.  Any other call builds its own store and drops it
-on return, so no level outlives the call that asked for it.  The relabel
+A `_Store` holds both engines' levels and every count factor H(p, r, e)
+it has found, each built at most once and kept until the store is
+dropped.  `verify_all` and the windows that `verify_prop2` and
+`explore_open` read (`_window`) share one store across every level and
+factor they ask for: the outermost of them opens it and drops it on
+return.  Any other call builds its own store and drops it on return, so
+no level and no factor outlives the call that asked for it.  The relabel
 and skip tables (`_kept_tables`, `_skips`) depend only on sizes, so they
 are per-process constants, never levels: at most 2^(k-1) pairs for each
-size k, under 4096 in all under the hard cap.  The
-avoiders of the barred pattern are counted and listed by their
-generating tree, so no production path scans S_n.
+size k, under 4096 in all under the hard cap.  So are the Bell numbers
+(`bell`).  The avoiders of the barred pattern are counted and listed by
+their generating tree, so no production path scans S_n.
 
 Each claim builds its report in one place.  `_image_claim` serves
 Theorems 1 and 2: it keeps the elements of s^{n-m}(S_n) and compares
@@ -108,8 +112,9 @@ def bell_numbers(k: int) -> list[int]:
     return values
 
 
+@functools.cache
 def bell(k: int) -> int:
-    """The k-th Bell number."""
+    """The k-th Bell number, computed once per process for each k."""
     return bell_numbers(k)[-1]
 
 
@@ -339,7 +344,8 @@ class _Store:
     with preimage weights, grown by `_join`; `weights[r][p]`, grown by
     `_weigh`, maps at w each element to its number of pairs (ranks, R)
     with last rank w; `depths` maps each element asked about to the
-    number of sorting passes that sort it.
+    number of sorting passes that sort it; `reaches` maps (p, r, e) to
+    H(p, r, e) (`reach`), so claims that share the store find each once.
     """
 
     def __init__(self) -> None:
@@ -348,6 +354,7 @@ class _Store:
         self.levels: list[dict[bytes, int]] = [{b"": 1}]
         self.weights: dict[int, list[list[dict[bytes, int]]]] = {}
         self.depths: dict[bytes, int] = {}
+        self.reaches: dict[tuple[int, int, int], int] = {}
 
     def image(self, n: int, t: int) -> set[bytes]:
         """s^t(S_n) for t >= 1.  Past t = n-1 every image is the identity
@@ -400,15 +407,30 @@ class _Store:
         return d
 
     def reach(self, p: int, r: int, e: int) -> int:
-        """H(p, r, e): the pairs of p ranks in [r+p] and an R in S_r whose
-        element of T(r, ranks) e passes sort, read off level p of the
-        weighted nested insertions."""
-        level = self.weighted(r, p)
-        if e == 0:  # only the identity is sorted by no pass
-            ident = bytes(range(1, r + p + 1))
-            return sum(table.get(ident, 0) for table in level)
-        return sum(w for table in level for x, w in table.items()
-                   if self.depth(x) <= e)
+        """H(p, r, e) for p >= 1: the pairs of p ranks in [r+p] and an R in
+        S_r whose element of T(r, ranks) e passes sort, found once per
+        store.  For e >= 1 it is read off level p of the weighted nested
+        insertions.  For e = 0 it is read off level p-1: the child of b at
+        rank v is the identity exactly when s(b) is increasing and b[:v-1]
+        is {1..v-1}, so each b of last rank w with s(b) increasing gives
+        its weight once per cut point c < w where b[:c] is {1..c}."""
+        h = self.reaches.get((p, r, e))
+        if h is None:
+            if e:
+                h = sum(w for table in self.weighted(r, p)
+                        for x, w in table.items() if self.depth(x) <= e)
+            else:
+                h = 0
+                ident = tuple(range(1, r + p))
+                for w, table in enumerate(self.weighted(r, p - 1)):
+                    for b, n in table.items():
+                        if stack_sort(b) == ident:
+                            # the prefix maxima max(b[:c]), c = 0..w-1
+                            tops = itertools.accumulate(b, max, initial=0)
+                            h += n * sum(
+                                top == c for c, top in zip(range(w), tops))
+            self.reaches[p, r, e] = h
+        return h
 
 
 _STORE: contextvars.ContextVar[_Store | None] = contextvars.ContextVar(
@@ -689,7 +711,10 @@ def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
     the first term being L empty.  H(p, r, e) (`_Store.reach`) counts the
     rank sets of the v's in [r+p] and the R in S_r whose T is sorted by e
     passes.  W(k) = k! for k <= t+1, since k-1 passes sort S_k.  For
-    t = 1, H(0, r, 0) = W_1(r), so no level is built.
+    t = 1, H(0, r, 0) = W_1(r), so no level is built.  Every other H is
+    found once per store: for t = 2 each H(1, r, 0) is read off s(S_r)
+    itself, so no nested-insertion level is grown, and for t >= 3 the
+    e = 0 terms read level t-2, so level t-1 is never built.
     """
     _require_within(n, max_n)
     if t < 0:
@@ -698,14 +723,11 @@ def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
         return 1
     store = _store()
     weights = [math.factorial(k) for k in range(min(n, t + 1) + 1)]
-    reach: dict[tuple[int, int, int], int] = {}  # each H once per call
     for k in range(len(weights), n + 1):
         total = weights[k - 1]
         for a in range(1, k):
             p, r, e = min(a, t - 1), k - 1 - a, max(t - 1 - a, 0)
-            if (p, r, e) not in reach:
-                reach[p, r, e] = store.reach(p, r, e) if p else weights[r]
-            total += weights[a] * reach[p, r, e]
+            total += weights[a] * (store.reach(p, r, e) if p else weights[r])
         weights.append(total)
     return weights[n]
 

@@ -196,13 +196,18 @@ def test_verify_all_builds_each_level_once(monkeypatch):
     joins = _count_calls(monkeypatch, "_join")
     builds = _count_weighted_builds(monkeypatch)
     set_joins = _count_calls(monkeypatch, "_peel_join")
+    sorts = _count_calls(monkeypatch, "stack_sort")
+    insertions = _count_calls(monkeypatch, "_put_below")
     assert all(r.passed for r in verify_all(8))
     # the weighted engine serves only the two-pass counts: s(S_k) for
-    # k = 1..6, read by the one-value tables T(r, (v,)) for r = 0..6,
-    # all v of one r built together as level 1
+    # k = 1..6, whose identity weights H(1, r, 0), r = 0..6, are read off
+    # s(S_r) itself, so no nested-insertion level is grown; each H is
+    # found once for all eight counts, with one sort per element of s(S_r)
+    # (the image unions sort once per `_put_below`)
     assert [k for _, k in joins] == list(range(1, 7))
-    assert sorted(r for r, _ in builds) == list(range(7))
-    assert all(p == 1 for _, p in builds)
+    assert builds == []
+    assert len(sorts) - len(insertions) == sum(
+        len(_Store().preimages(r)) for r in range(7))
     # the images build each set level s^t(S_k) once, up to the largest n
     # asked with that t: s(S_5) for theorem2 at m = 4, s^2(S_7) at m = 5,
     # and n = 8 for every t >= 3 (t >= 8 is clamped to 7)
@@ -390,6 +395,36 @@ def test_weighted_tables_match_nested_insertions():
             level = store.weighted(r, p)
             assert [{tuple(y): w for y, w in table.items()}
                     for table in level] == expected, (r, p)
+
+
+def test_identity_weights_read_one_level_lower():
+    # H(p, r, 0) is read off level p-1; the definition it replaced sums
+    # the identity's weight over level p.  Each store is asked in its
+    # own order: a fresh one per (p, r), and one shared store top down
+    oracle = _Store()
+
+    def expected(p, r):
+        ident = bytes(range(1, r + p + 1))
+        return sum(table.get(ident, 0) for table in oracle.weighted(r, p))
+    pairs = [(p, r) for p in range(1, 9) for r in range(9 - p)]
+    for p, r in pairs:
+        assert _Store().reach(p, r, 0) == expected(p, r), (p, r)
+    shared = _Store()
+    for p, r in reversed(pairs):
+        assert shared.reach(p, r, 0) == expected(p, r), (p, r)
+    # the largest p asked for r is 8-r, so levels 0..7-r and no more
+    assert shared.weights.keys() == set(range(8))
+    assert all(len(levels) == 8 - r for r, levels in shared.weights.items())
+
+
+def test_unions_from_rank_one_are_image_levels():
+    # U(r, p, 0) = s^{p+1}(S_{r+p}) element for element: every right
+    # factor of the peel join lies in a level of the same t
+    store = _Store()
+    pairs = [(size - p, p) for size in range(1, 10) for p in range(size + 1)]
+    assert len(pairs) == 54
+    for r, p in pairs:
+        assert set(store.union(r, p, 0)) == store.image(r + p, p + 1), (r, p)
 
 
 def test_weighted_levels_sort_each_entry_once(monkeypatch):
@@ -731,13 +766,15 @@ def test_two_stack_sortable_count_builds_no_twice_level(monkeypatch):
     joins = _count_calls(monkeypatch, "_join")
     set_joins = _count_calls(monkeypatch, "_peel_join")
     builds = _count_weighted_builds(monkeypatch)
+    sorts = _count_calls(monkeypatch, "stack_sort")
     assert count_t_stack_sortable(12, 2, max_n=12) == \
         west_zeilberger_count(12)
-    # s(S_k) with weights for k <= 10 and the one-value tables over it;
-    # no set level and no level of s^2
+    # s(S_k) with weights for k <= 10, each H(1, r, 0) read off s(S_r)
+    # with one sort per element; no set level, no nested-insertion level
+    # and no level of s^2
     assert [k for _, k in joins] == list(range(1, 11))
-    assert sorted(r for r, _ in builds) == list(range(11))
-    assert all(p == 1 for _, p in builds)
+    assert builds == []
+    assert len(sorts) == sum(len(_Store().preimages(r)) for r in range(11))
     assert not set_joins
 
 
@@ -814,6 +851,16 @@ def test_explore_tables():
         (4, 0, 24), (5, 1, 17), (6, 2, 15)]
     assert explore_open(1) == []
     assert [(r.n, r.count) for r in explore_open(2)] == [(2, 2)]
+
+
+def test_bell_numbers_are_built_once_per_k(monkeypatch):
+    lab.bell.cache_clear()
+    triangles = _count_calls(monkeypatch, "bell_numbers")
+    verify_all(8)
+    assert triangles and len(triangles) == len(set(triangles))
+    triangles.clear()
+    verify_all(8)
+    assert triangles == []
 
 
 def test_explore_pins_fire_on_a_wrong_bell_number(monkeypatch):
