@@ -12,8 +12,9 @@ entry.
   element is s^t(L) less its last t-1 entries, then one element of a
   union of nested-insertion tables, then n; all L with |L| < t together
   give s^t(S_{n-1}) n, and so does L = [n-1], so that split is skipped.
-  Both factors depend only on the kept part of L, so the join loops over
-  kept sets, and the cost follows m = n - t.
+  Both factors depend only on the kept part K of L, so the join forms
+  the products of each size of K once and relabels them onto each K
+  with one `bytes.translate`; the cost follows m = n - t.
 - Counts are weights.  `count_t_stack_sortable` sums, for every t >= 1,
   only the splits that s^t sends to the identity, by the same peel, so
   s^t(S_n) is never built.  Its factor for R is read off weighted
@@ -23,15 +24,11 @@ entry.
   one pass sorts and their cut points, so a two-pass count grows no
   nested-insertion level at all.
 
-Both engines grow the nested insertions one level of insertion at a
-time, never table by table, each level a list indexed by the rank of
-the last value inserted: the unions keep each distinct element once,
-at its largest rank, and the counts keep one weight map per rank.
+Both engines grow the nested insertions one level at a time (`_Store`).
 
 The levels are tiny next to n! (|s(S_9)| = 11033 and |s^2(S_9)| = 1081
 against 362880).  The default bound is n <= 10; 11 and 12 are allowed
-behind an explicit `max_n` with the hard cap at 12.  Every image is
-built in the calling process.
+behind an explicit `max_n` with the hard cap at 12.
 
 A `_Store` holds both engines' levels and every count factor H(p, r, e)
 it has found, each built at most once and kept until the store is
@@ -39,20 +36,15 @@ dropped.  `verify_all` and the windows that `verify_prop2` and
 `explore_open` read (`_window`) share one store across every level and
 factor they ask for: the outermost of them opens it and drops it on
 return.  Any other call builds its own store and drops it on return, so
-no level and no factor outlives the call that asked for it.  The relabel
-and skip tables (`_kept_tables`, `_skips`) depend only on sizes, so they
-are per-process constants, never levels: at most 2^(k-1) pairs for each
-size k, under 4096 in all under the hard cap.  So are the Bell numbers
+no level and no factor outlives the call that asked for it.  The
+relabel, shift and skip tables (`_kept_table`, `_up`, `_skips`) depend
+only on sizes, so they are per-process constants, never levels: at most
+2^(k-1) relabel tables for each size k.  So are the Bell numbers
 (`bell`).  The avoiders of the barred pattern are counted and listed by
 their generating tree, so no production path scans S_n.
 
-Each claim builds its report in one place.  `_image_claim` serves
-Theorems 1 and 2: it keeps the elements of s^{n-m}(S_n) and compares
-them with the characterized set plus the zetas (none for Theorem 1),
-and, given zetas, checks that they are exactly the elements that
-contain the barred pattern.  `_count_claim` serves the three counts:
-the engine's count against B_n, the Catalan number or West and
-Zeilberger's closed form.
+Each claim builds its report in one place: `_image_claim` for Theorems
+1 and 2, `_count_claim` for the three counts.
 """
 
 from __future__ import annotations
@@ -69,7 +61,7 @@ from .errors import (InvalidPermutationError, PreconditionError,
                      ResourceBoundError)
 from .patterns import descent_tops_are_lr_maxima
 from .perm import Perm, identity, is_standard, tail_length
-from .stacksort import stack_sort, stack_sort_iterate
+from .stacksort import _stack_pass, stack_sort_iterate
 
 DEFAULT_MAX_N = 10
 HARD_MAX_N = 12
@@ -186,19 +178,18 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _relabel_table(values: Sequence[int]) -> bytes:
-    """`bytes.translate` table sending i to values[i-1] for i = 1..len(values)
-    and fixing every other byte."""
-    return bytes.maketrans(bytes(range(1, len(values) + 1)), bytes(values))
+@functools.cache
+def _kept_table(k: int, kept: tuple[int, ...]) -> bytes:
+    """The table sending 1..|kept| onto `kept`, a subset of [k-1], and
+    |kept|+1..k-1 onto the rest of [k-1], fixing every other byte."""
+    return bytes.maketrans(bytes(range(1, k)), bytes(kept) + bytes(
+        v for v in range(1, k) if v not in kept))
 
 
 @functools.cache
-def _kept_tables(k: int, kept: tuple[int, ...]) -> tuple[bytes, bytes]:
-    """The relabel tables onto `kept`, a subset of [k-1], and onto the
-    rest of [k-1], built once per process: at most 2^(k-1) pairs for
-    each k."""
-    return (_relabel_table(kept),
-            _relabel_table([v for v in range(1, k) if v not in kept]))
+def _up(size: int) -> bytes:
+    """The table adding `size` to every byte below 256 - size."""
+    return bytes(range(size, 256)) + bytes(size)
 
 
 def _peel_join(store: _Store, k: int, t: int) -> set[bytes]:
@@ -213,9 +204,13 @@ def _peel_join(store: _Store, k: int, t: int) -> set[bytes]:
     p entries, relabelled onto K; the second is the union U(r, p, q) of
     `store.union`, relabelled onto the rest of [k-1], with r = |R| and
     q = max K - |K| the values of the rest below max K, which no v may
-    take.  So the join loops over K, not over L.  Every L with |L| < t
-    together gives s^t(S_{k-1}) k, which the store already holds, and so
-    does L = [k-1] (K = [k-1-p], r = 0), so the join skips that K.
+    take.  So the join loops over K, not over L.  The product for K is
+    the one for [|K|], x (y + |K|) k (`_up`), relabelled by K's table
+    (`_kept_table`), so each size's products are formed once, one list
+    per last rank, and each K relabels the lists above q.  Every L with
+    |L| < t together gives s^t(S_{k-1}) k, which the store already
+    holds, and so does L = [k-1] (K = [k-1-p], r = 0), so the join skips
+    that K.
     """
     p = t - 1
     levels = store.sets[t]
@@ -223,13 +218,18 @@ def _peel_join(store: _Store, k: int, t: int) -> set[bytes]:
     out = {x + top for x in levels[k - 1]}
     for size in range(1, k - p - 1):
         lefts = [x[:size] for x in levels[size + p]]  # drops v_p ... v_1
-        r = k - 1 - size - p
-        for kept in itertools.combinations(range(1, k - p), size):
-            lt, rt = _kept_tables(k, kept)
-            rights = [y.translate(rt) + top
-                      for y in store.union(r, p, kept[-1] - size)]
-            xs = [x.translate(lt) for x in lefts]
-            out.update(map(b"".join, itertools.product(xs, rights)))
+        up = _up(size)
+        # the products of K = [size], by the right factor's last rank
+        products = []
+        for ys in store.nested(k - 1 - size - p, p):
+            rights = [y.translate(up) + top for y in ys]
+            products.append([x + y for x in lefts for y in rights])
+        for g in range(size, k - p):  # each K with max K = g
+            above = products[g - size + 1:]  # U(r, p, q) with q = g - size
+            for rest in itertools.combinations(range(1, g), size - 1):
+                out.update(map(bytes.translate,
+                               itertools.chain.from_iterable(above),
+                               itertools.repeat(_kept_table(k, rest + (g,)))))
     return out
 
 
@@ -242,7 +242,7 @@ def _put_below(b: bytes,
     above it arrives, which is when the entries before that one are
     flushed anyway, so s(r b) is s(b) with r put in at that entry's index.
     """
-    sorted_b = bytes(stack_sort(b))
+    sorted_b = bytes(_stack_pass(b))
     out = []
     i = 0
     j = len(b)
@@ -258,7 +258,8 @@ def _put_below(b: bytes,
 def _skips(j: int, below: int) -> tuple[tuple[int, bytes, bytes], ...]:
     """For r = 1..below: r, the table relabelling a length-j entry onto
     {1..j+1} minus r, and r packed; built once per process."""
-    return tuple((r, _relabel_table([v for v in range(1, j + 2) if v != r]),
+    return tuple((r, _kept_table(j + 2, tuple(v for v in range(1, j + 2)
+                                              if v != r)),
                   bytes([r])) for r in range(1, below + 1))
 
 
@@ -311,21 +312,23 @@ def _join(levels: list[dict[bytes, int]], k: int) -> dict[bytes, int]:
     A left-to-right maximum empties the stack, so s(L k R) = s(L) s(R) k.
     The preimages with a fixed L pair one preimage of each factor, so
     weights multiply; different L give disjoint preimages, so their
-    weights add where they reach the same element.
+    weights add where they reach the same element.  The right factors
+    are shifted up by |L| once per size, and each product is relabelled
+    onto L with one table, as in `_peel_join`.
     """
     out: dict[bytes, int] = {}
     get = out.get
     top = bytes([k])
     for a in range(k):
         lefts = levels[a].items()
+        up = _up(a)
+        rights = [(y.translate(up) + top, wy)
+                  for y, wy in levels[k - 1 - a].items()]
         for left in itertools.combinations(range(1, k), a):
-            lt, rt = _kept_tables(k, left)
-            rights = [(y.translate(rt) + top, wy)
-                      for y, wy in levels[k - 1 - a].items()]
+            table = _kept_table(k, left)
             for x, wx in lefts:
-                x = x.translate(lt)
                 for y, wy in rights:
-                    key = x + y
+                    key = (x + y).translate(table)
                     out[key] = get(key, 0) + wx * wy
     return out
 
@@ -372,17 +375,19 @@ class _Store:
             self.levels.append(_join(self.levels, len(self.levels)))
         return self.levels[k]
 
-    def union(self, r: int, p: int, q: int) -> Iterator[bytes]:
-        """U(r, p, q): the union of the T(r, ranks) whose p ranks all lie
-        in q+1..r+p, that is whose last rank is above q, each element
-        once.  Each level is grown once from the one below it."""
+    def nested(self, r: int, p: int) -> list[list[bytes]]:
+        """Level p of `unions[r]`, grown once from the one below it."""
         levels = self.unions.get(r)
         if levels is None:
             levels = self.unions[r] = [
                 [[]] * (r + 1) + [list(self.image(r, 1))]]
         while len(levels) <= p:
             levels.append(_nest(levels[-1], r + len(levels) - 1))
-        return itertools.chain(*levels[p][q + 1:])
+        return levels[p]
+
+    def union(self, r: int, p: int, q: int) -> Iterator[bytes]:
+        """U(r, p, q): the elements of level p above last rank q."""
+        return itertools.chain(*self.nested(r, p)[q + 1:])
 
     def weighted(self, r: int, p: int) -> list[dict[bytes, int]]:
         """Level p of the weighted nested insertions into s(S_r): at each
@@ -401,7 +406,7 @@ class _Store:
         for every element its passes go through."""
         d = self.depths.get(x)
         if d is None:
-            y = bytes(stack_sort(x))
+            y = bytes(_stack_pass(x))
             # a pass fixes the identity alone
             d = self.depths[x] = 0 if y == x else 1 + self.depth(y)
         return d
@@ -424,7 +429,7 @@ class _Store:
                 ident = tuple(range(1, r + p))
                 for w, table in enumerate(self.weighted(r, p - 1)):
                     for b, n in table.items():
-                        if stack_sort(b) == ident:
+                        if _stack_pass(b) == ident:
                             # the prefix maxima max(b[:c]), c = 0..w-1
                             tops = itertools.accumulate(b, max, initial=0)
                             h += n * sum(
@@ -471,11 +476,10 @@ def image_of_iterate(
     """Exact image of the t-fold sorting map over all n! permutations.
 
     s^t(S_n) is a set joined from the smaller images of the same t
-    (`_peel_join`, which peels the top t-1 values off each left value set
-    and loops over what is kept), all in the calling process; no
-    preimage weight is formed.  Past t = n-1 the image is the identity
-    alone.  Keeping the elements of the 0-fold image (all of S_n) is
-    refused above n = `KEEP_ALL_MAX_N`, whatever `max_n` says.
+    (`_peel_join`) in the calling process; no preimage weight is formed.
+    Past t = n-1 the image is the identity alone.  Keeping the elements
+    of the 0-fold image (all of S_n) is refused above n =
+    `KEEP_ALL_MAX_N`, whatever `max_n` says.
     `shards` must be >= 1 and is otherwise ignored; ROADMAP item 1
     removes it together with the benchmark plans that pass it.
     """
@@ -554,10 +558,6 @@ def characterize_membership_rule(
 # ---------------------------------------------------------------------------
 # Verification suites
 
-# the `bytes.translate` table that adds one to every byte but 255
-_UP_ONE = bytes(range(1, 256)) + b"\xff"
-
-
 def _predicted_image(n: int, t: int) -> frozenset[Perm]:
     """The characterized set {p in S_n : tail length >= t, avoider}, built
     as every avoider q in S_{n-t} followed by the fixed tail n-t+1..n.
@@ -568,7 +568,7 @@ def _predicted_image(n: int, t: int) -> frozenset[Perm]:
     left-to-right maximum) or in a value below v."""
     m = n - t
     # ups[v] adds one to the entries >= v
-    ups = [bytes(range(v)) + _UP_ONE[v:] for v in range(m + 1)]
+    ups = [bytes(range(v)) + _up(1)[v:] for v in range(m + 1)]
     level = [b""]
     for k in range(m):
         level = [q.translate(ups[v]) + bytes((v,)) for q in level

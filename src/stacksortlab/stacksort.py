@@ -25,6 +25,13 @@ def stack_sort(p: Sequence[int]) -> Perm:
     """
     if len(set(p)) != len(p):
         raise InvalidPermutationError(f"repeated entry in {tuple(p)}")
+    return _stack_pass(p)
+
+
+def _stack_pass(p: Sequence[int]) -> Perm:
+    """The pass of `stack_sort` without its check for repeated entries,
+    for callers whose permutations are distinct by construction (the
+    image and count engines of `lab`)."""
     out: list[int] = []
     stack: list[int] = []
     for x in p:

@@ -196,7 +196,7 @@ def test_verify_all_builds_each_level_once(monkeypatch):
     joins = _count_calls(monkeypatch, "_join")
     builds = _count_weighted_builds(monkeypatch)
     set_joins = _count_calls(monkeypatch, "_peel_join")
-    sorts = _count_calls(monkeypatch, "stack_sort")
+    sorts = _count_calls(monkeypatch, "_stack_pass")
     insertions = _count_calls(monkeypatch, "_put_below")
     assert all(r.passed for r in verify_all(8))
     # the weighted engine serves only the two-pass counts: s(S_k) for
@@ -256,25 +256,27 @@ def test_image_calls_outside_a_scope_share_nothing(monkeypatch):
 
 
 def test_relabel_tables_are_built_once_per_process(monkeypatch):
-    # the relabel and skip tables depend only on sizes: a second call
-    # joins its own levels again but builds no table
-    lab._kept_tables.cache_clear()
-    lab._skips.cache_clear()
-    tables = _count_calls(monkeypatch, "_relabel_table")
-    image_of_iterate(9, 4)
-    count_t_stack_sortable(8, 2)
-    assert tables
-    tables.clear()
-    image_of_iterate(9, 4)
-    count_t_stack_sortable(8, 2)
-    assert tables == []
-    # one pair of tables per subset of [k-1], whatever t asks for it
-    lab._kept_tables.cache_clear()
+    # the kept-set, shift and skip tables depend only on sizes: a second
+    # call joins its own levels again but builds no table
+    cached = (lab._kept_table, lab._up, lab._skips)
+    for table in cached:
+        table.cache_clear()
+
+    def built():
+        image_of_iterate(9, 4)
+        count_t_stack_sortable(8, 2)
+        return [table.cache_info().misses for table in cached]
+    first = built()
+    assert all(first)
+    assert built() == first
+    # one table per subset K of [k-1], whatever t or engine asks for it
+    kept = _count_calls(monkeypatch, "_kept_table")
     for n in range(10):
         for t in range(1, 9):
             image_of_iterate(n, t)
-    assert 0 < lab._kept_tables.cache_info().currsize <= sum(
-        2 ** (k - 1) for k in range(1, 10))
+            count_t_stack_sortable(n, t)
+    per_k = Counter(k for k, _ in set(kept))
+    assert per_k and all(per_k[k] <= 2 ** (k - 1) for k in per_k)
 
 
 def test_peel_join_skips_the_split_that_repeats_the_last_level():
@@ -328,6 +330,18 @@ def test_images_nest_as_n_grows():
                 top = bytes([n + 1])
                 for x in lab._store().image(n + 1, n + 1 - m):
                     assert x.replace(top, b"") in smaller, (m, n, x)
+
+
+def test_images_starting_with_one_or_two_match_one_size_less():
+    # ROADMAP item 3's free cut: for t <= n-2 the elements of s^t(S_n)
+    # that start with 1, and those that start with 2, each number
+    # |s^t(S_{n-1})|
+    with _sharing_levels():
+        for n in range(3, 11):
+            for t in range(1, n - 1):
+                firsts = Counter(x[0] for x in lab._store().image(n, t))
+                smaller = len(lab._store().image(n - 1, t))
+                assert firsts[1] == firsts[2] == smaller, (n, t)
 
 
 def _nested_insertions(r, p, q):
@@ -766,7 +780,7 @@ def test_two_stack_sortable_count_builds_no_twice_level(monkeypatch):
     joins = _count_calls(monkeypatch, "_join")
     set_joins = _count_calls(monkeypatch, "_peel_join")
     builds = _count_weighted_builds(monkeypatch)
-    sorts = _count_calls(monkeypatch, "stack_sort")
+    sorts = _count_calls(monkeypatch, "_stack_pass")
     assert count_t_stack_sortable(12, 2, max_n=12) == \
         west_zeilberger_count(12)
     # s(S_k) with weights for k <= 10, each H(1, r, 0) read off s(S_r)
