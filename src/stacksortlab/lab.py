@@ -202,15 +202,15 @@ def _peel_join(store: _Store, k: int, t: int) -> set[bytes]:
     T = s(v_p ... s(v_1 s(R))).  The kept set K = L less its top p values
     fixes both factors' value sets: the first is s^t(S_|L|) less its last
     p entries, relabelled onto K; the second is the union U(r, p, q) of
-    `store.union`, relabelled onto the rest of [k-1], with r = |R| and
-    q = max K - |K| the values of the rest below max K, which no v may
-    take.  So the join loops over K, not over L.  The product for K is
-    the one for [|K|], x (y + |K|) k (`_up`), relabelled by K's table
-    (`_kept_table`), so each size's products are formed once, one list
-    per last rank, and each K relabels the lists above q.  Every L with
-    |L| < t together gives s^t(S_{k-1}) k, which the store already
-    holds, and so does L = [k-1] (K = [k-1-p], r = 0), so the join skips
-    that K.
+    the lists of `store.nested(r, p)` above last rank q, relabelled onto
+    the rest of [k-1], with r = |R| and q = max K - |K| the values of the
+    rest below max K, which no v may take.  So the join loops over K, not
+    over L.  The product for K is the one for [|K|], x (y + |K|) k
+    (`_up`), relabelled by K's table (`_kept_table`), so each size's
+    products are formed once, one list per last rank, and each K
+    relabels the lists above q.  Every L with |L| < t together gives
+    s^t(S_{k-1}) k, which the store already holds, and so does L = [k-1]
+    (K = [k-1-p], r = 0), so the join skips that K.
     """
     p = t - 1
     levels = store.sets[t]
@@ -384,10 +384,6 @@ class _Store:
         while len(levels) <= p:
             levels.append(_nest(levels[-1], r + len(levels) - 1))
         return levels[p]
-
-    def union(self, r: int, p: int, q: int) -> Iterator[bytes]:
-        """U(r, p, q): the elements of level p above last rank q."""
-        return itertools.chain(*self.nested(r, p)[q + 1:])
 
     def weighted(self, r: int, p: int) -> list[dict[bytes, int]]:
         """Level p of the weighted nested insertions into s(S_r): at each

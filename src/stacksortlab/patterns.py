@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidPermutationError, ParseError, PreconditionError
 from .perm import Perm, is_standard
+from .stacksort import is_t_stack_sortable
 
 
 class BarredOccurrence(NamedTuple):
@@ -27,22 +28,10 @@ class BarredOccurrence(NamedTuple):
 
 
 def contains_231(p: Sequence[int]) -> bool:
-    """True when entries b, c, a appear in this order with a < b < c."""
-    n = len(p)
-    if n < 3:
-        return False
-    # suffix_min[j] = smallest entry strictly right of position j
-    suffix_min = [0] * n
-    m = n * max(p) + 1
-    for j in range(n - 1, -1, -1):
-        suffix_min[j] = m
-        if p[j] < m:
-            m = p[j]
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            if p[i] < p[j] and suffix_min[j] < p[i]:
-                return True
-    return False
+    """True when entries b, c, a appear in this order with a < b < c:
+    exactly when one pass of the stack leaves p unsorted (Knuth).  Entries
+    must be distinct, as for `stack_sort`."""
+    return not is_t_stack_sortable(p, 1)
 
 
 def exists_231_with_endpoints(p: Sequence[int], b: int, a: int) -> int | None:

@@ -14,24 +14,31 @@ def stack_sort(p: Sequence[int]) -> Perm:
 
     The next input entry is pushed whenever the stack is empty or the entry
     is smaller than the stack top; otherwise the top pops to the output.
-    Entries must be distinct: a repeated entry raises
-    `InvalidPermutationError` before the pass starts, since the machine
-    has no rule to break a tie.
+    Entries must be distinct (`_distinct`).
 
     >>> stack_sort((4, 1, 6, 2))
     (1, 4, 2, 6)
     >>> stack_sort(())
     ()
     """
-    if len(set(p)) != len(p):
-        raise InvalidPermutationError(f"repeated entry in {tuple(p)}")
-    return _stack_pass(p)
+    return _stack_pass(_distinct(p))
+
+
+def _distinct(p: Sequence[int]) -> Perm:
+    """p as a tuple.  A repeated entry raises `InvalidPermutationError`
+    before any pass starts, since the machine has no rule to break a tie;
+    every public entry of this module checks its input here, once."""
+    q = tuple(p)
+    if len(set(q)) != len(q):
+        raise InvalidPermutationError(f"repeated entry in {q}")
+    return q
 
 
 def _stack_pass(p: Sequence[int]) -> Perm:
-    """The pass of `stack_sort` without its check for repeated entries,
-    for callers whose permutations are distinct by construction (the
-    image and count engines of `lab`)."""
+    """One pass of the stack without the check for repeated entries, for
+    callers whose input is distinct already: the entries of this module
+    after `_distinct`, and the image and count engines of `lab`, whose
+    permutations are distinct by construction."""
     out: list[int] = []
     stack: list[int] = []
     for x in p:
@@ -62,16 +69,17 @@ def stack_sort_recursive(p: Sequence[int]) -> Perm:
 def stack_sort_iterate(p: Sequence[int], t: int) -> Perm:
     """t-fold application of the map; t = 0 is the identity map.
 
-    Increasing permutations are fixed points, so iteration stops as soon as
-    one is reached.
+    A pass fixes exactly the increasing sequences, so iteration stops as
+    soon as a pass returns its own input.
     """
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
-    q = tuple(p)
+    q = _distinct(p)
     for _ in range(t):
-        if is_increasing(q):
+        r = _stack_pass(q)
+        if r == q:
             break
-        q = stack_sort(q)
+        q = r
     return q
 
 
@@ -97,6 +105,7 @@ def trace_stack_sort(p: Sequence[int]) -> StackTrace:
     >>> trace_stack_sort((2, 1)).events
     (('push', 2), ('push', 1), ('pop', 1), ('pop', 2))
     """
+    p = _distinct(p)
     events: list[tuple[str, int]] = []
     out: list[int] = []
     stack: list[int] = []

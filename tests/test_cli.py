@@ -154,6 +154,11 @@ def test_count_image_csv(capsys):
     assert len(rows) == 1
     assert rows[0]["count"] == "2"
     assert set(rows[0]) == {"n", "t", "count", "elements", "wall_time"}
+    # kept elements flatten to one field, joined by ";"
+    assert run(["count-image", "--n", "3", "--t", "1", "--keep-elements",
+                "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(out_of(capsys)[0])))
+    assert [row["elements"] for row in rows] == ["1 2 3;2 1 3"]
 
 
 def test_count_image_large_t(capsys):
@@ -175,6 +180,11 @@ def test_verify_command(capsys):
     out, _ = out_of(capsys)
     assert out.startswith("PASS theorem1")
     assert "expected=15 observed=15" in out
+    # the parameters flatten to one field of k=v pairs
+    assert run(["verify", "theorem1", "--m", "3", "--n", "4",
+                "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(out_of(capsys)[0])))
+    assert [row["parameters"] for row in rows] == ["m=3 n=4 set_equal=True"]
 
 
 def test_verify_all_small(capsys):

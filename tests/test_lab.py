@@ -49,6 +49,15 @@ def test_bell_examples():
     assert bell(6) == 203
 
 
+def test_out_of_range_arguments_are_refused():
+    with pytest.raises(ValueError):
+        bell_numbers(-1)
+    with pytest.raises(ValueError):
+        count_t_stack_sortable(4, -1)
+    with pytest.raises(PreconditionError):
+        explore_open(0)
+
+
 def test_bell_matches_bundled_fixture():
     fixture = load_bell_fixture()
     assert len(fixture) >= 16
@@ -364,7 +373,7 @@ def test_unions_match_nested_insertions():
     for r in range(7):
         for p in range(7 - r):
             for q in range(r + 1):
-                union = list(store.union(r, p, q))
+                union = list(itertools.chain(*store.nested(r, p)[q + 1:]))
                 assert len(union) == len(set(union)), (r, p, q)
                 assert {tuple(y) for y in union} == set().union(
                     *_nested_insertions(r, p, q).values()), (r, p, q)
@@ -375,14 +384,15 @@ def test_unions_sort_each_distinct_element_once(monkeypatch):
     # distinct element of level l, however many tables hold it
     calls = _count_calls(monkeypatch, "_put_below")
     for r in range(8):
-        sizes = [len(list(_Store().union(r, p, 0))) for p in range(7)]
+        sizes = [len(list(itertools.chain(*_Store().nested(r, p)[1:])))
+                 for p in range(7)]
         for p in range(1, 6):
             store = _Store()
             calls.clear()
-            store.union(r, p, 0)
+            store.nested(r, p)
             assert len(calls) == sum(sizes[:p]), (r, p)
             calls.clear()
-            store.union(r, p + 1, 0)
+            store.nested(r, p + 1)
             assert len(calls) == sizes[p], (r, p)
 
 
@@ -393,8 +403,9 @@ def test_shared_unions_match_fresh_stores_out_of_order():
         for p in range(6, -1, -1):
             fresh = _Store()
             for q in range(r + 1):
-                assert list(store.union(r, p, q)) == \
-                    list(fresh.union(r, p, q)), (r, p, q)
+                assert list(itertools.chain(*store.nested(r, p)[q + 1:])) == \
+                    list(itertools.chain(*fresh.nested(r, p)[q + 1:])), \
+                    (r, p, q)
 
 
 def test_weighted_tables_match_nested_insertions():
@@ -438,7 +449,8 @@ def test_unions_from_rank_one_are_image_levels():
     pairs = [(size - p, p) for size in range(1, 10) for p in range(size + 1)]
     assert len(pairs) == 54
     for r, p in pairs:
-        assert set(store.union(r, p, 0)) == store.image(r + p, p + 1), (r, p)
+        assert set(itertools.chain(*store.nested(r, p)[1:])) == \
+            store.image(r + p, p + 1), (r, p)
 
 
 def test_weighted_levels_sort_each_entry_once(monkeypatch):
@@ -496,6 +508,8 @@ def test_image_bounds():
     assert image_of_iterate(11, 0, max_n=12).count == 39916800
     with pytest.raises(ValueError):
         image_of_iterate(4, -1)
+    with pytest.raises(ValueError):
+        image_of_iterate(-1, 1)
 
 
 def test_image_report_record():

@@ -111,6 +111,7 @@ def test_occurrence_involving_min():
     assert occ.values == (3, 2, 1)
     assert barred_occurrence_involving_min((1, 2, 3, 4, 5)) is None
     assert barred_occurrence_involving_min((3, 2, 4, 1)) is None
+    assert barred_occurrence_involving_min(()) is None
     with pytest.raises(InvalidPermutationError):
         barred_occurrence_involving_min((2, 5, 8, 4))
 

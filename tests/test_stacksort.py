@@ -33,9 +33,16 @@ def test_stack_sort_examples():
 
 
 def test_stack_sort_rejects_a_repeated_entry():
-    for p in ((2, 2, 1), (2, 3, 2)):
-        with pytest.raises(InvalidPermutationError):
-            stack_sort(p)
+    # every sorting entry checks its input once, before any pass; the
+    # iteration at t = 0 too
+    from stacksortlab import contains_231
+    entries = (stack_sort, trace_stack_sort, contains_231,
+               lambda p: stack_sort_iterate(p, 0),
+               lambda p: stack_sort_iterate(p, 3))
+    for entry in entries:
+        for p in ((2, 2, 1), (2, 3, 2)):
+            with pytest.raises(InvalidPermutationError):
+                entry(p)
 
 
 def test_stack_sort_rejects_a_repeated_entry_under_dash_o():
@@ -93,10 +100,12 @@ def test_sortability_examples():
 
 
 def test_one_pass_sortable_iff_avoids_231():
-    from stacksortlab import contains_231
+    # Knuth's equivalence, against the naive search rather than
+    # `contains_231`, which is defined by one pass
+    from test_patterns import naive_contains_231
     for n in range(8):
         for p in perms(n):
-            assert is_t_stack_sortable(p, 1) == (not contains_231(p))
+            assert is_t_stack_sortable(p, 1) == (not naive_contains_231(p))
 
 
 def test_trace_fig1():
