@@ -14,7 +14,9 @@ entry.
   give s^t(S_{n-1}) n, and so does L = [n-1], so that split is skipped.
   Both factors depend only on the kept part K of L, so the join forms
   the products of each size of K once and relabels them onto each K
-  with one `bytes.translate`; the cost follows m = n - t.
+  with one `bytes.translate`; the cost follows m = n - t.  A count
+  joins only the elements that start with a descent and reads the rest
+  off s^t(S_{n-1}) (`_Store.count`), so s^t(S_n) is never held.
 - Counts are weights.  `count_t_stack_sortable` sums, for every t >= 1,
   only the splits that s^t sends to the identity, by the same peel, so
   s^t(S_n) is never built.  Its factor for R is read off weighted
@@ -192,9 +194,12 @@ def _up(size: int) -> bytes:
     return bytes(range(size, 256)) + bytes(size)
 
 
-def _peel_join(store: _Store, k: int, t: int) -> set[bytes]:
+def _peel_join(store: _Store, k: int, t: int,
+               descents: bool = False) -> set[bytes]:
     """s^t(S_k) for t >= 1 as a set, joined over the kept sets K of the
     left value sets L of L k R; `store.sets[t][j]` is s^t(S_j) for j < k.
+    With `descents` (k >= 3), only the elements that start with a
+    descent (`_Store.count`).
 
     With p = t-1 and v_1 > ... > v_p the top p values of L, once |L| >= t
     the last p entries of s^t(L) are v_p ... v_1, and a left-to-right
@@ -211,13 +216,24 @@ def _peel_join(store: _Store, k: int, t: int) -> set[bytes]:
     relabels the lists above q.  Every L with |L| < t together gives
     s^t(S_{k-1}) k, which the store already holds, and so does L = [k-1]
     (K = [k-1-p], r = 0), so the join skips that K.
+
+    Relabelling onto K keeps order, so a product starts with a descent
+    when its left factor does, or, for K = {g}, when y_1 < g.  So with
+    `descents` s^t(S_{k-1}) and each size's lefts are filtered once, and
+    the size-1 products once per g; a full level runs none of these
+    filters.
     """
     p = t - 1
     levels = store.sets[t]
     top = bytes([k])
-    out = {x + top for x in levels[k - 1]}
+    firsts = levels[k - 1]
+    if descents:
+        firsts = [x for x in firsts if x[0] > x[1]]
+    out = {x + top for x in firsts}
     for size in range(1, k - p - 1):
         lefts = [x[:size] for x in levels[size + p]]  # drops v_p ... v_1
+        if descents and size > 1:
+            lefts = [x for x in lefts if x[0] > x[1]]
         up = _up(size)
         # the products of K = [size], by the right factor's last rank
         products = []
@@ -226,6 +242,8 @@ def _peel_join(store: _Store, k: int, t: int) -> set[bytes]:
             products.append([x + y for x in lefts for y in rights])
         for g in range(size, k - p):  # each K with max K = g
             above = products[g - size + 1:]  # U(r, p, q) with q = g - size
+            if descents and size == 1:  # K = {g}: byte 1 is y_1 + 1
+                above = [[x for xs in above for x in xs if x[1] <= g]]
             for rest in itertools.combinations(range(1, g), size - 1):
                 out.update(map(bytes.translate,
                                itertools.chain.from_iterable(above),
@@ -368,6 +386,35 @@ class _Store:
             levels.append(_peel_join(self, len(levels), t))
         return levels[n]
 
+    def count(self, n: int, t: int) -> int:
+        """|s^t(S_n)| for t >= 1, without building s^t(S_n) unless it is
+        held already.
+
+        For n >= 2 the elements of s^t(S_n) that start with an ascent are
+        exactly g (+) q for q in s^t(S_{n-1}) and 1 <= g <= q_1, where
+        g (+) q is g followed by q with its entries >= g raised by one.
+        So the count is |D| + the sum of q_1 over s^t(S_{n-1}), where D,
+        the elements that start with a descent, is all `_peel_join` forms.
+
+        By induction on n, over sigma = s^t(L n R) with p and K as in
+        `_peel_join`.  If |L| < t, sigma = x n with x in s^t(S_{n-1}), and
+        x less x_1 is in s^t(S_{n-2}) by the hypothesis, so sigma less
+        sigma_1 is in s^t(S_{n-2}) (n-1).  If |K| >= 2, sigma_1 is in K,
+        so removing it from L by the hypothesis at |L| leaves the top p
+        values of L, and T, unchanged.  If K = {sigma_1}, sigma less
+        sigma_1 is T n, the image of (L - {sigma_1}) n R, since
+        |L| - 1 = p < t.  The converse inserts g into L the same way.
+        """
+        t = min(t, max(n - 1, 1))
+        levels = self.sets.get(t, ())
+        if len(levels) > n:
+            return len(levels[n])
+        if t >= n - 1:
+            return len(self.image(n, t))
+        # every (n-1)-th byte of the level's elements, joined, is a q_1
+        ascents = sum(b"".join(self.image(n - 1, t))[::n - 1])
+        return ascents + len(_peel_join(self, n, t, True))
+
     def preimages(self, k: int) -> dict[bytes, int]:
         """s(S_k), each element mapped to its number of preimages under s,
         grown one size at a time by `_join`."""
@@ -473,9 +520,10 @@ def image_of_iterate(
 
     s^t(S_n) is a set joined from the smaller images of the same t
     (`_peel_join`) in the calling process; no preimage weight is formed.
-    Past t = n-1 the image is the identity alone.  Keeping the elements
-    of the 0-fold image (all of S_n) is refused above n =
-    `KEEP_ALL_MAX_N`, whatever `max_n` says.
+    Without `keep_elements` s^t(S_n) is counted, not held
+    (`_Store.count`).  Past t = n-1 the image is the identity alone.
+    Keeping the elements of the 0-fold image (all of S_n) is refused
+    above n = `KEEP_ALL_MAX_N`, whatever `max_n` says.
     `shards` must be >= 1 and is otherwise ignored; ROADMAP item 1
     removes it together with the benchmark plans that pass it.
     """
@@ -495,9 +543,12 @@ def image_of_iterate(
                     if keep_elements else None)
         return ImageReport(n=n, t=t, count=math.factorial(n),
                            elements=elements, wall_time=time.perf_counter() - start)
-    image = _store().image(n, t)
-    elements = frozenset(tuple(code) for code in image) if keep_elements else None
-    return ImageReport(n=n, t=t, count=len(image), elements=elements,
+    if keep_elements:
+        image = _store().image(n, t)
+        count, elements = len(image), frozenset(tuple(code) for code in image)
+    else:
+        count, elements = _store().count(n, t), None
+    return ImageReport(n=n, t=t, count=count, elements=elements,
                        wall_time=time.perf_counter() - start)
 
 
@@ -545,10 +596,12 @@ def characterize_membership_rule(
             f"regimes and over the enumeration bound: undecidable at this "
             f"scale")
     # the image stays in the scope's store, so membership reads its set
-    # instead of a copy of every element as a tuple
+    # instead of a copy of every element as a tuple; built first, the
+    # report counts the held level
     with _sharing_levels():
+        image = _store().image(n, t)
         image_of_iterate(n, t, max_n=max_n)
-        return bytes(p) in _store().image(n, t), "oracle-fallback"
+        return bytes(p) in image, "oracle-fallback"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -351,6 +352,47 @@ def test_images_starting_with_one_or_two_match_one_size_less():
                 firsts = Counter(x[0] for x in lab._store().image(n, t))
                 smaller = len(lab._store().image(n - 1, t))
                 assert firsts[1] == firsts[2] == smaller, (n, t)
+
+
+def test_ascent_starts_are_one_size_less_with_a_smaller_first_entry():
+    # the identity `_Store.count` rests on: for t >= 1 and n >= 3 the
+    # elements of s^t(S_n) that start with an ascent are g (+) q for q in
+    # s^t(S_{n-1}) and 1 <= g <= q_1: g, then q with its entries >= g
+    # raised by one
+    def ascents(image):
+        return {tuple(x) for x in image if x[0] < x[1]}
+
+    def lifted(smaller):
+        return {(g,) + tuple(v + (v >= g) for v in q)
+                for q in smaller for g in range(1, q[0] + 1)}
+    brute = functools.cache(_brute_image)
+    for n in range(3, 11):
+        for t in range(1, n - 1):
+            assert ascents(_Store().image(n, t)) == \
+                lifted(_Store().image(n - 1, t)), (n, t)
+            if n <= 8:
+                assert ascents(brute(n, t)) == lifted(brute(n - 1, t)), (n, t)
+    # the count from fresh stores, and from one store asked in descending
+    # n, where every level below the first n is already held
+    sizes = {(n, t): len(_Store().image(n, t))
+             for n in range(12) for t in range(1, n + 2)}
+    for (n, t), size in sizes.items():
+        assert _Store().count(n, t) == size, (n, t)
+    store = _Store()
+    for n in range(11, -1, -1):
+        for t in range(1, n + 2):
+            assert store.count(n, t) == sizes[n, t], (n, t)
+
+
+def test_a_count_never_holds_its_top_level(monkeypatch):
+    with _sharing_levels():
+        store = lab._store()
+        assert image_of_iterate(9, 2).count == 1081
+        assert len(store.sets[2]) == 9  # s^2(S_0) .. s^2(S_8)
+        store.image(9, 2)
+        joins = _count_calls(monkeypatch, "_peel_join")
+        assert image_of_iterate(9, 2).count == 1081
+        assert joins == []
 
 
 def _nested_insertions(r, p, q):
