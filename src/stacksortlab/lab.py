@@ -17,14 +17,15 @@ entry.
   with one `bytes.translate`; the cost follows m = n - t.  A count
   joins only the elements that start with a descent and reads the rest
   off s^t(S_{n-1}) (`_Store.count`), so s^t(S_n) is never held.
-- Counts are weights.  `count_t_stack_sortable` sums, for every t >= 1,
-  only the splits that s^t sends to the identity, by the same peel, so
+- Counts are weights.  `count_t_stack_sortable` sums, for t = 1 and
+  every t >= 3, only the splits that s^t sends to the identity, by the same peel, so
   s^t(S_n) is never built.  Its factor for R is read off weighted
   nested insertions, which map each element to its number of R and
   start from s(S_r) with preimage weights (`_join`).  The factor that
   asks for the identity is read one level lower, off the elements that
-  one pass sorts and their cut points, so a two-pass count grows no
-  nested-insertion level at all.
+  one pass sorts and their cut points.  A two-pass count builds no
+  level: a polynomial DP over the number of cut points of s(beta)
+  (`_Store.cut_counts`) gives it.
 
 Both engines grow the nested insertions one level at a time (`_Store`).
 
@@ -219,17 +220,16 @@ def _peel_join(store: _Store, k: int, t: int,
 
     Relabelling onto K keeps order, so a product starts with a descent
     when its left factor does, or, for K = {g}, when y_1 < g.  So with
-    `descents` s^t(S_{k-1}) and each size's lefts are filtered once, and
-    the size-1 products once per g; a full level runs none of these
-    filters.
+    `descents` each size's lefts are filtered once, and the size-1
+    products once per g; a full level runs none of these filters.  Nor
+    does `descents` form s^t(S_{k-1}) k: appending a maximum to R
+    commutes with every pass, so each of its elements that starts with a
+    descent is formed again by some K with |K| >= 1.
     """
     p = t - 1
     levels = store.sets[t]
     top = bytes([k])
-    firsts = levels[k - 1]
-    if descents:
-        firsts = [x for x in firsts if x[0] > x[1]]
-    out = {x + top for x in firsts}
+    out = set() if descents else {x + top for x in levels[k - 1]}
     for size in range(1, k - p - 1):
         lefts = [x[:size] for x in levels[size + p]]  # drops v_p ... v_1
         if descents and size > 1:
@@ -361,12 +361,15 @@ class _Store:
     starting from s(S_r) alone at w = r+1.  Images: `sets[t][k]` is
     s^t(S_k), grown one size at a time by `_peel_join`; `unions[r][p]`,
     grown by `_nest`, holds at w every element whose largest last rank
-    over the T(r, ranks) with p ranks is w.  Counts: `levels[k]` is s(S_k)
-    with preimage weights, grown by `_join`; `weights[r][p]`, grown by
-    `_weigh`, maps at w each element to its number of pairs (ranks, R)
-    with last rank w; `depths` maps each element asked about to the
-    number of sorting passes that sort it; `reaches` maps (p, r, e) to
-    H(p, r, e) (`reach`), so claims that share the store find each once.
+    over the T(r, ranks) with p ranks is w; `avoiding[k]` lists the
+    avoiders of the barred pattern in S_k (`avoiders`).  Counts:
+    `levels[k]` is s(S_k) with preimage weights, grown by `_join`;
+    `weights[r][p]`, grown by `_weigh`, maps at w each element to its
+    number of pairs (ranks, R) with last rank w; `depths` maps each
+    element asked about to the number of sorting passes that sort it;
+    `reaches` maps (p, r, e) to H(p, r, e) (`reach`), so claims that
+    share the store find each once; `cuts[j]` and `tails[j]` are the
+    rows P_j and Q_j of the two-pass DP (`cut_counts`).
     """
 
     def __init__(self) -> None:
@@ -376,6 +379,9 @@ class _Store:
         self.weights: dict[int, list[list[dict[bytes, int]]]] = {}
         self.depths: dict[bytes, int] = {}
         self.reaches: dict[tuple[int, int, int], int] = {}
+        self.cuts: list[list[int]] = [[1]]
+        self.tails: list[list[int]] = [[0, 1]]
+        self.avoiding: list[list[bytes]] = [[b""]]
 
     def image(self, n: int, t: int) -> set[bytes]:
         """s^t(S_n) for t >= 1.  Past t = n-1 every image is the identity
@@ -479,6 +485,40 @@ class _Store:
                                 top == c for c, top in zip(range(w), tops))
             self.reaches[p, r, e] = h
         return h
+
+    def cut_counts(self, j: int) -> list[int]:
+        """P_j: at k, the number of beta in S_j that two passes sort and
+        whose s(beta) has k cut points c >= 1 (`count_t_stack_sortable`).
+        Each row is grown once, from the rows below it."""
+        rows, tails = self.cuts, self.tails
+        while len(rows) <= j:
+            m = len(rows)
+            row = [0] + rows[-1]  # L empty: one cut point more than R
+            for a in range(1, m):
+                q = tails[m - 1 - a]
+                for i, u in enumerate(rows[a]):
+                    for d in range(1, len(q)):
+                        row[i + d] += u * q[d]
+            rows.append(row)
+            # Q_m[d] = P_m[d-1] + P_m[d] + ... for d >= 1
+            tails.append([0] + list(itertools.accumulate(row[::-1]))[::-1])
+        return rows[j]
+
+    def avoiders(self, m: int) -> list[bytes]:
+        """The avoiders of the barred pattern in S_m, the leaves of the
+        generating tree that `count_avoiders` walks, each size grown once:
+        an avoider q of [k] takes a new last value v, with the entries >= v
+        moved up by one, when q ends in k (a left-to-right maximum) or in
+        a value below v."""
+        levels = self.avoiding
+        while len(levels) <= m:
+            k = len(levels) - 1
+            # ups[v] adds one to the entries >= v
+            ups = [bytes(range(v)) + _up(1)[v:] for v in range(k + 2)]
+            levels.append([q.translate(ups[v]) + bytes((v,))
+                           for q in levels[-1] for v in range(
+                               q[-1] + 1 if q and q[-1] < k else 1, k + 2)])
+        return levels[m]
 
 
 _STORE: contextvars.ContextVar[_Store | None] = contextvars.ContextVar(
@@ -609,23 +649,13 @@ def characterize_membership_rule(
 
 def _predicted_image(n: int, t: int) -> frozenset[Perm]:
     """The characterized set {p in S_n : tail length >= t, avoider}, built
-    as every avoider q in S_{n-t} followed by the fixed tail n-t+1..n.
-
-    The avoiders are the leaves of the generating tree that
-    `count_avoiders` walks: an avoider q of [k] takes a new last value v,
-    with the entries >= v moved up by one, when q ends in k (a
-    left-to-right maximum) or in a value below v."""
+    as every avoider q in S_{n-t} (`_Store.avoiders`) followed by the
+    fixed tail n-t+1..n."""
     m = n - t
-    # ups[v] adds one to the entries >= v
-    ups = [bytes(range(v)) + _up(1)[v:] for v in range(m + 1)]
-    level = [b""]
-    for k in range(m):
-        level = [q.translate(ups[v]) + bytes((v,)) for q in level
-                 for v in range(q[-1] + 1 if q and q[-1] < k else 1, k + 2)]
     # appending larger increasing entries adds no descent top and keeps the
     # earlier left-to-right maxima, so q + tail avoids exactly when q does
     fixed_tail = bytes(range(m + 1, n + 1))
-    return frozenset(tuple(q + fixed_tail) for q in level)
+    return frozenset(tuple(q + fixed_tail) for q in _store().avoiders(m))
 
 
 def _image_claim(claim: str, m: int, n: int, expected: int,
@@ -760,10 +790,26 @@ def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
     the first term being L empty.  H(p, r, e) (`_Store.reach`) counts the
     rank sets of the v's in [r+p] and the R in S_r whose T is sorted by e
     passes.  W(k) = k! for k <= t+1, since k-1 passes sort S_k.  For
-    t = 1, H(0, r, 0) = W_1(r), so no level is built.  Every other H is
-    found once per store: for t = 2 each H(1, r, 0) is read off s(S_r)
-    itself, so no nested-insertion level is grown, and for t >= 3 the
-    e = 0 terms read level t-2, so level t-1 is never built.
+    t = 1, H(0, r, 0) = W_1(r), so no level is built.  For t >= 3 every
+    H is found once per store, and the e = 0 terms read level t-2, so
+    level t-1 is never built.
+
+    For t = 2 no level is built at all.  For beta in S_j that two passes
+    sort, let kappa(beta) count the cut points c = 1..j of s(beta), those
+    with s(beta)[:c] = {1..c}; c = j always counts.  By the peel, two
+    passes sort beta = L j R, a >= 1, exactly when L = {1..a-1} plus l,
+    two passes sort L and R, and c0 = l - a is a cut point e_i of s(R),
+    0 = e_0 < ... < e_kappa(R) = |R| (the condition `_Store.reach`
+    reads).  Then kappa(beta) = kappa(L) + kappa(R) - i + 1, and with L
+    empty kappa(beta) = kappa(R) + 1.  So the row P_j, at k the number of
+    beta with kappa(beta) = k, as a polynomial in x, follows from the
+    smaller rows (`_Store.cut_counts`):
+
+        P_0 = 1,  P_m = x P_{m-1} + sum_{a=1}^{m-1} P_a Q_{m-1-a},
+
+    where Q_r[d] = sum_{k >= d-1} P_r[k] for d >= 1 counts the R whose
+    s(R) has a cut point e_i with kappa(R) - i + 1 = d.  Then W_2(n) is
+    the sum of P_n, and H(1, r, 0) that of Q_r.
     """
     _require_within(n, max_n)
     if t < 0:
@@ -771,6 +817,8 @@ def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
     if t == 0:
         return 1
     store = _store()
+    if t == 2:
+        return sum(store.cut_counts(n))
     weights = [math.factorial(k) for k in range(min(n, t + 1) + 1)]
     for k in range(len(weights), n + 1):
         total = weights[k - 1]

@@ -209,15 +209,11 @@ def test_verify_all_builds_each_level_once(monkeypatch):
     sorts = _count_calls(monkeypatch, "_stack_pass")
     insertions = _count_calls(monkeypatch, "_put_below")
     assert all(r.passed for r in verify_all(8))
-    # the weighted engine serves only the two-pass counts: s(S_k) for
-    # k = 1..6, whose identity weights H(1, r, 0), r = 0..6, are read off
-    # s(S_r) itself, so no nested-insertion level is grown; each H is
-    # found once for all eight counts, with one sort per element of s(S_r)
-    # (the image unions sort once per `_put_below`)
-    assert [k for _, k in joins] == list(range(1, 7))
-    assert builds == []
-    assert len(sorts) - len(insertions) == sum(
-        len(_Store().preimages(r)) for r in range(7))
+    # the counts build no weighted level and sort nothing: the two-pass
+    # counts read the cut-point rows, so every sort is the image unions'
+    # one per `_put_below`
+    assert joins == [] and builds == []
+    assert len(sorts) == len(insertions)
     # the images build each set level s^t(S_k) once, up to the largest n
     # asked with that t: s(S_5) for theorem2 at m = 4, s^2(S_7) at m = 5,
     # and n = 8 for every t >= 3 (t >= 8 is clamped to 7)
@@ -382,6 +378,16 @@ def test_ascent_starts_are_one_size_less_with_a_smaller_first_entry():
     for n in range(11, -1, -1):
         for t in range(1, n + 2):
             assert store.count(n, t) == sizes[n, t], (n, t)
+
+
+def test_descent_joins_form_no_top_products():
+    # without the s^t(S_{n-1}) n products the join still forms every
+    # element of s^t(S_n) that starts with a descent
+    store = _Store()
+    for n in range(3, 11):
+        for t in range(1, n):
+            descents = {x for x in store.image(n, t) if x[0] > x[1]}
+            assert lab._peel_join(store, n, t, True) == descents, (n, t)
 
 
 def test_a_count_never_holds_its_top_level(monkeypatch):
@@ -832,20 +838,49 @@ def test_counts_past_n_minus_two_passes_build_no_level(monkeypatch):
                 math.factorial(n), (n, t)
 
 
-def test_two_stack_sortable_count_builds_no_twice_level(monkeypatch):
-    joins = _count_calls(monkeypatch, "_join")
-    set_joins = _count_calls(monkeypatch, "_peel_join")
-    builds = _count_weighted_builds(monkeypatch)
-    sorts = _count_calls(monkeypatch, "_stack_pass")
+def test_two_stack_sortable_count_builds_no_level(monkeypatch):
+    # the cut-point rows alone: no weighted or set level, and no sort
+    calls = [_count_calls(monkeypatch, name)
+             for name in ("_join", "_weigh", "_peel_join", "_stack_pass")]
     assert count_t_stack_sortable(12, 2, max_n=12) == \
         west_zeilberger_count(12)
-    # s(S_k) with weights for k <= 10, each H(1, r, 0) read off s(S_r)
-    # with one sort per element; no set level, no nested-insertion level
-    # and no level of s^2
-    assert [k for _, k in joins] == list(range(1, 11))
-    assert builds == []
-    assert len(sorts) == sum(len(_Store().preimages(r)) for r in range(11))
-    assert not set_joins
+    assert calls == [[], [], [], []]
+
+
+def _cut_points(p) -> int:
+    """kappa(p): the c = 1..n with s(p)[:c] = {1..c}."""
+    image = stack_sort(p)
+    return sum(max(image[:c]) == c for c in range(1, len(p) + 1))
+
+
+def test_cut_count_rows_match_brute_distribution():
+    store = _Store()
+    for n in range(8):
+        row = [0] * (n + 1)
+        for p in perms(n):
+            if is_t_stack_sortable(p, 2):
+                row[_cut_points(p)] += 1
+        assert store.cut_counts(n) == row, n
+
+
+def test_cut_count_rows_sum_to_two_stack_sortable_counts():
+    store = _Store()
+    for n in range(9):
+        assert sum(store.cut_counts(n)) == sum(
+            is_t_stack_sortable(p, 2) for p in perms(n)), n
+    # the closed form far past the cap, from a store that grew row 50 first
+    store = _Store()
+    store.cut_counts(50)
+    for n in range(1, 51):
+        assert sum(store.cut_counts(n)) == west_zeilberger_count(n), n
+
+
+def test_cut_count_tails_match_identity_weights():
+    # sum Q_r = H(1, r, 0), the level read kept as the oracle
+    store = _Store()
+    store.cut_counts(8)
+    for r in range(9):
+        assert sum(store.tails[r]) == _Store().reach(1, r, 0), r
 
 
 def test_t_stack_sortable_rows_past_brute_range():
@@ -890,12 +925,16 @@ def test_predicted_image_matches_definition():
 
 
 def test_predicted_image_matches_the_filter_of_s_m():
-    # the generating tree against the filter of all of S_m it replaced
-    for m in range(9):
-        avoiders = [q for q in perms(m) if descent_tops_are_lr_maxima(q)]
-        for t in range(4):
-            tail = tuple(range(m + 1, m + t + 1))
-            assert _predicted_image(m + t, t) == {q + tail for q in avoiders}
+    # the generating tree against the filter of all of S_m it replaced,
+    # from one store asked in descending m, which lists each size once
+    with _sharing_levels():
+        for m in range(8, -1, -1):
+            avoiders = [q for q in perms(m) if descent_tops_are_lr_maxima(q)]
+            for t in range(4):
+                tail = tuple(range(m + 1, m + t + 1))
+                assert _predicted_image(m + t, t) == {
+                    q + tail for q in avoiders}, (m, t)
+        assert len(lab._store().avoiding) == 9
 
 
 def test_count_avoiders_small():
