@@ -15,8 +15,9 @@ entry.
   Both factors depend only on the kept part K of L, so the join forms
   the products of each size of K once and relabels them onto each K
   with one `bytes.translate`; the cost follows m = n - t.  A count
-  joins only the elements that start with a descent and reads the rest
-  off s^t(S_{n-1}) (`_Store.count`), so s^t(S_n) is never held.
+  joins only the elements of s^t(S_n) and s^t(S_{n-1}) that start with
+  a descent and reads the rest off the first entries of s^t(S_{n-2})
+  (`_Store.count`), so it holds no level above n-2.
 - Counts are weights.  `count_t_stack_sortable` sums, for t = 1 and
   every t >= 3, only the splits that s^t sends to the identity, by the same peel, so
   s^t(S_n) is never built.  Its factor for R is read off weighted
@@ -40,11 +41,12 @@ dropped.  `verify_all` and the windows that `verify_prop2` and
 factor they ask for: the outermost of them opens it and drops it on
 return.  Any other call builds its own store and drops it on return, so
 no level and no factor outlives the call that asked for it.  The
-relabel, shift and skip tables (`_kept_table`, `_up`, `_skips`) depend
-only on sizes, so they are per-process constants, never levels: at most
-2^(k-1) relabel tables for each size k.  So are the Bell numbers
-(`bell`).  The avoiders of the barred pattern are counted and listed by
-their generating tree, so no production path scans S_n.
+relabel, shift and skip tables (`_kept_table`, `_kept_tables`, `_up`,
+`_skips`) depend only on sizes, so they are per-process constants, never
+levels: at most 2^(k-1) relabel tables for each size k, which
+`_kept_tables` groups into one tuple per |K| and max K.  So are the
+Bell numbers (`bell`).  The avoiders of the barred pattern are counted
+and listed by their generating tree, so no production path scans S_n.
 
 Each claim builds its report in one place: `_image_claim` for Theorems
 1 and 2, `_count_claim` for the three counts.
@@ -190,6 +192,14 @@ def _kept_table(k: int, kept: tuple[int, ...]) -> bytes:
 
 
 @functools.cache
+def _kept_tables(k: int, size: int, g: int) -> tuple[bytes, ...]:
+    """The `_kept_table`s of every K, a subset of [k-1], with |K| = size
+    and max K = g."""
+    return tuple(_kept_table(k, rest + (g,))
+                 for rest in itertools.combinations(range(1, g), size - 1))
+
+
+@functools.cache
 def _up(size: int) -> bytes:
     """The table adding `size` to every byte below 256 - size."""
     return bytes(range(size, 256)) + bytes(size)
@@ -213,10 +223,13 @@ def _peel_join(store: _Store, k: int, t: int,
     rest below max K, which no v may take.  So the join loops over K, not
     over L.  The product for K is the one for [|K|], x (y + |K|) k
     (`_up`), relabelled by K's table (`_kept_table`), so each size's
-    products are formed once, one list per last rank, and each K
-    relabels the lists above q.  Every L with |L| < t together gives
-    s^t(S_{k-1}) k, which the store already holds, and so does L = [k-1]
-    (K = [k-1-p], r = 0), so the join skips that K.
+    products are formed once, in one list ordered by last rank.  The K
+    with max K = g share q, so for each g the products above q are
+    sliced off once and relabelled through the tables of those K
+    (`_kept_tables`); a g with no product above q is skipped.  Every L
+    with |L| < t together gives s^t(S_{k-1}) k, which the store already
+    holds, and so does L = [k-1] (K = [k-1-p], r = 0), so the join skips
+    that K.
 
     Relabelling onto K keeps order, so a product starts with a descent
     when its left factor does, or, for K = {g}, when y_1 < g.  So with
@@ -235,19 +248,23 @@ def _peel_join(store: _Store, k: int, t: int,
         if descents and size > 1:
             lefts = [x for x in lefts if x[0] > x[1]]
         up = _up(size)
-        # the products of K = [size], by the right factor's last rank
-        products = []
+        # the products of K = [size], in order of the right factor's last
+        # rank; those of rank w start at starts[w]
+        products: list[bytes] = []
+        starts = []
         for ys in store.nested(k - 1 - size - p, p):
+            starts.append(len(products))
             rights = [y.translate(up) + top for y in ys]
-            products.append([x + y for x in lefts for y in rights])
+            products += [x + y for x in lefts for y in rights]
         for g in range(size, k - p):  # each K with max K = g
-            above = products[g - size + 1:]  # U(r, p, q) with q = g - size
+            # U(r, p, q) with q = g - size
+            above = products[starts[g - size + 1]:]
             if descents and size == 1:  # K = {g}: byte 1 is y_1 + 1
-                above = [[x for xs in above for x in xs if x[1] <= g]]
-            for rest in itertools.combinations(range(1, g), size - 1):
-                out.update(map(bytes.translate,
-                               itertools.chain.from_iterable(above),
-                               itertools.repeat(_kept_table(k, rest + (g,)))))
+                above = [x for x in above if x[1] <= g]
+            if above:
+                for table in _kept_tables(k, size, g):
+                    out.update(map(bytes.translate, above,
+                                   itertools.repeat(table)))
     return out
 
 
@@ -369,7 +386,8 @@ class _Store:
     element asked about to the number of sorting passes that sort it;
     `reaches` maps (p, r, e) to H(p, r, e) (`reach`), so claims that
     share the store find each once; `cuts[j]` and `tails[j]` are the
-    rows P_j and Q_j of the two-pass DP (`cut_counts`).
+    rows P_j and Q_j of the two-pass DP (`cut_counts`); `ends[k]` maps
+    the states of the avoiders in S_k to their numbers (`avoider_ends`).
     """
 
     def __init__(self) -> None:
@@ -382,6 +400,8 @@ class _Store:
         self.cuts: list[list[int]] = [[1]]
         self.tails: list[list[int]] = [[0, 1]]
         self.avoiding: list[list[bytes]] = [[b""]]
+        # the empty permutation ends in a virtual 0 that is a maximum
+        self.ends: list[dict[tuple[int, bool], int]] = [{(0, True): 1}]
 
     def image(self, n: int, t: int) -> set[bytes]:
         """s^t(S_n) for t >= 1.  Past t = n-1 every image is the identity
@@ -393,14 +413,23 @@ class _Store:
         return levels[n]
 
     def count(self, n: int, t: int) -> int:
-        """|s^t(S_n)| for t >= 1, without building s^t(S_n) unless it is
+        """|s^t(S_n)| for t >= 1, holding no level above n-2 unless it is
         held already.
 
         For n >= 2 the elements of s^t(S_n) that start with an ascent are
         exactly g (+) q for q in s^t(S_{n-1}) and 1 <= g <= q_1, where
         g (+) q is g followed by q with its entries >= g raised by one.
-        So the count is |D| + the sum of q_1 over s^t(S_{n-1}), where D,
-        the elements that start with a descent, is all `_peel_join` forms.
+        So the count is |D_n| + the sum of q_1 over s^t(S_{n-1}), where
+        D_n, the elements that start with a descent, is all `_peel_join`
+        forms.  Once more at n-1 (t <= n-3), the q that start with an
+        ascent are g (+) y for y in s^t(S_{n-2}) and g <= y_1, whose
+        first entries sum to y_1 (y_1 + 1) / 2, so
+
+            |s^t(S_n)| = |D_n| + sum of x_1 over D_{n-1}
+                         + sum of y_1 (y_1 + 1) / 2 over s^t(S_{n-2}),
+
+        and `_peel_join` at n and n-1 reads levels up to n-2 only.  A
+        held s^t(S_{n-1}) is read as it is.
 
         By induction on n, over sigma = s^t(L n R) with p and K as in
         `_peel_join`.  If |L| < t, sigma = x n with x in s^t(S_{n-1}), and
@@ -417,8 +446,13 @@ class _Store:
             return len(levels[n])
         if t >= n - 1:
             return len(self.image(n, t))
-        # every (n-1)-th byte of the level's elements, joined, is a q_1
-        ascents = sum(b"".join(self.image(n - 1, t))[::n - 1])
+        # every k-th byte of length-k elements, joined, is a first entry
+        if len(levels) == n or t == n - 2:
+            ascents = sum(b"".join(self.image(n - 1, t))[::n - 1])
+        else:
+            firsts = b"".join(self.image(n - 2, t))[::n - 2]
+            ascents = sum(y * (y + 1) for y in firsts) // 2 + sum(
+                b"".join(_peel_join(self, n - 1, t, True))[::n - 1])
         return ascents + len(_peel_join(self, n, t, True))
 
     def preimages(self, k: int) -> dict[bytes, int]:
@@ -503,6 +537,23 @@ class _Store:
             # Q_m[d] = P_m[d-1] + P_m[d] + ... for d >= 1
             tails.append([0] + list(itertools.accumulate(row[::-1]))[::-1])
         return rows[j]
+
+    def avoider_ends(self, n: int) -> dict[tuple[int, bool], int]:
+        """The states (last entry l, is l a left-to-right maximum) of the
+        avoiders of the barred pattern in S_n, each mapped to its number
+        of avoiders (`count_avoiders`).  Each row is grown once, from the
+        row below it."""
+        rows = self.ends
+        while len(rows) <= n:
+            k = len(rows) - 1
+            row: dict[tuple[int, bool], int] = {}
+            for (last, lr), count in rows[-1].items():
+                for v in range(1, k + 2):
+                    if lr or v > last:
+                        key = (v, v == k + 1)
+                        row[key] = row.get(key, 0) + count
+            rows.append(row)
+        return rows[n]
 
     def avoiders(self, m: int) -> list[bytes]:
         """The avoiders of the barred pattern in S_m, the leaves of the
@@ -757,20 +808,11 @@ def count_avoiders(n: int, max_n: int | None = None) -> int:
     the entries >= v moved up by one.  The new entry is allowed iff the
     old last entry l was a left-to-right maximum or v > l, and it is a
     left-to-right maximum iff v = k+1.  So the count runs over the states
-    (l, is l a left-to-right maximum) in O(n^3) steps.
+    (l, is l a left-to-right maximum) in O(n^3) steps, and a shared store
+    keeps each size's states (`_Store.avoider_ends`).
     """
     _require_within(n, max_n)
-    # the empty permutation ends in a virtual 0 that is a maximum
-    ends: dict[tuple[int, bool], int] = {(0, True): 1}
-    for k in range(n):
-        nxt: dict[tuple[int, bool], int] = {}
-        for (last, lr), count in ends.items():
-            for v in range(1, k + 2):
-                if lr or v > last:
-                    key = (v, v == k + 1)
-                    nxt[key] = nxt.get(key, 0) + count
-        ends = nxt
-    return sum(ends.values())
+    return sum(_store().avoider_ends(n).values())
 
 
 def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:

@@ -350,6 +350,23 @@ def test_images_starting_with_one_or_two_match_one_size_less():
                 assert firsts[1] == firsts[2] == smaller, (n, t)
 
 
+def test_first_entry_deletions_are_one_size_less_with_initial_segments():
+    # ROADMAP item 3, unproved: deleting the first entry g of an element
+    # x = g (+) q of s^t(S_n) leaves an element q of s^t(S_{n-1}), and the
+    # g that go with each such q are 1..h(q), so |s^t(S_n)| is the sum
+    # of h(q) over s^t(S_{n-1})
+    with _sharing_levels():
+        for n in range(2, 11):
+            for t in range(1, n):
+                heads = {}
+                for x in lab._store().image(n, t):
+                    q = bytes(v - (v > x[0]) for v in x[1:])
+                    heads.setdefault(q, set()).add(x[0])
+                assert heads.keys() == lab._store().image(n - 1, t), (n, t)
+                for q, gs in heads.items():
+                    assert gs == set(range(1, len(gs) + 1)), (n, t, q)
+
+
 def test_ascent_starts_are_one_size_less_with_a_smaller_first_entry():
     # the identity `_Store.count` rests on: for t >= 1 and n >= 3 the
     # elements of s^t(S_n) that start with an ascent are g (+) q for q in
@@ -378,6 +395,11 @@ def test_ascent_starts_are_one_size_less_with_a_smaller_first_entry():
     for n in range(11, -1, -1):
         for t in range(1, n + 2):
             assert store.count(n, t) == sizes[n, t], (n, t)
+    # and in ascending n, where level n-2 is held but level n-1 is not
+    store = _Store()
+    for n in range(12):
+        for t in range(1, n + 2):
+            assert store.count(n, t) == sizes[n, t], (n, t)
 
 
 def test_descent_joins_form_no_top_products():
@@ -394,7 +416,7 @@ def test_a_count_never_holds_its_top_level(monkeypatch):
     with _sharing_levels():
         store = lab._store()
         assert image_of_iterate(9, 2).count == 1081
-        assert len(store.sets[2]) == 9  # s^2(S_0) .. s^2(S_8)
+        assert len(store.sets[2]) == 8  # s^2(S_0) .. s^2(S_7)
         store.image(9, 2)
         joins = _count_calls(monkeypatch, "_peel_join")
         assert image_of_iterate(9, 2).count == 1081
@@ -939,6 +961,11 @@ def test_predicted_image_matches_the_filter_of_s_m():
 
 def test_count_avoiders_small():
     assert [count_avoiders(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+    # a shared store grows the generating tree's rows once, to the largest n
+    with _sharing_levels():
+        assert [count_avoiders(n) for n in range(6, -1, -1)] == [
+            203, 52, 15, 5, 2, 1, 1]
+        assert len(lab._store().ends) == 7
 
 
 def test_count_avoiders_matches_scan_and_bell(monkeypatch):
