@@ -14,10 +14,10 @@ entry.
   give s^t(S_{n-1}) n, and so does L = [n-1], so that split is skipped.
   Both factors depend only on the kept part K of L, so the join forms
   the products of each size of K once and relabels them onto each K
-  with one `bytes.translate`; the cost follows m = n - t.  A count
-  joins only the elements of s^t(S_n) and s^t(S_{n-1}) that start with
-  a descent and reads the rest off the first entries of s^t(S_{n-2})
-  (`_Store.count`), so it holds no level above n-2.
+  with one `bytes.translate`; the cost follows m = n - t.  A count at
+  t <= n-3 joins only the elements of s^t(S_n) and s^t(S_{n-1}) that
+  start with a descent and reads the rest off the first entries of
+  s^t(S_{n-2}) (`_Store.count`), so it holds no level above n-2.
 - Counts are weights.  `count_t_stack_sortable` sums, for t = 1 and
   every t >= 3, only the splits that s^t sends to the identity, by the same peel, so
   s^t(S_n) is never built.  Its factor for R is read off weighted
@@ -41,10 +41,12 @@ dropped.  `verify_all` and the windows that `verify_prop2` and
 factor they ask for: the outermost of them opens it and drops it on
 return.  Any other call builds its own store and drops it on return, so
 no level and no factor outlives the call that asked for it.  The
-relabel, shift and skip tables (`_kept_table`, `_kept_tables`, `_up`,
-`_skips`) depend only on sizes, so they are per-process constants, never
-levels: at most 2^(k-1) relabel tables for each size k, which
-`_kept_tables` groups into one tuple per |K| and max K.  So are the
+relabel, shift, raise and skip tables (`_kept_table`, `_kept_tables`,
+`_up`, `_raise`, `_skips`) depend only on sizes, so they are per-process
+constants, never levels: at most 2^(k-1) relabel tables for each size k,
+which `_kept_tables` groups into one tuple per |K| and max K; `_raise(v)`
+moves the entries >= v up by one, for the nested insertions (`_skips`)
+and the avoiders' generating tree alike.  So are the
 Bell numbers (`bell`).  The avoiders of the barred pattern are counted
 and listed by their generating tree, so no production path scans S_n.
 
@@ -205,6 +207,13 @@ def _up(size: int) -> bytes:
     return bytes(range(size, 256)) + bytes(size)
 
 
+@functools.cache
+def _raise(v: int) -> bytes:
+    """The table adding one to every byte from v up to 254, fixing the
+    bytes below v."""
+    return bytes(range(v)) + _up(1)[v:]
+
+
 def _peel_join(store: _Store, k: int, t: int,
                descents: bool = False) -> set[bytes]:
     """s^t(S_k) for t >= 1 as a set, joined over the kept sets K of the
@@ -290,17 +299,15 @@ def _put_below(b: bytes,
 
 
 @functools.cache
-def _skips(j: int, below: int) -> tuple[tuple[int, bytes, bytes], ...]:
-    """For r = 1..below: r, the table relabelling a length-j entry onto
-    {1..j+1} minus r, and r packed; built once per process."""
-    return tuple((r, _kept_table(j + 2, tuple(v for v in range(1, j + 2)
-                                              if v != r)),
-                  bytes([r])) for r in range(1, below + 1))
+def _skips(w: int) -> tuple[tuple[int, bytes, bytes], ...]:
+    """For r = 1..w: r, the table relabelling an entry onto the positive
+    integers minus r (`_raise`), and r packed; built once per process."""
+    return tuple((r, _raise(r), bytes([r])) for r in range(1, w + 1))
 
 
-def _nest(level: list[list[bytes]], j: int) -> list[list[bytes]]:
+def _nest(level: list[list[bytes]]) -> list[list[bytes]]:
     """The next level of the nested insertions into s(S_r), r = len(level)
-    - 2, from the level of length-j elements given as in `_Store.unions`.
+    - 2, from the level below it given as in `_Store.unions`.
 
     The children of a table whose last rank is w have the last ranks
     1..w, and an element's child of each rank does not depend on the
@@ -308,13 +315,11 @@ def _nest(level: list[list[bytes]], j: int) -> list[list[bytes]]:
     children of ranks 1..w with one `_put_below`, and each child keeps
     the largest rank it is given.
     """
-    r = len(level) - 2
-    skips = _skips(j, r + 1)
     best: dict[bytes, int] = {}
     get = best.get
-    for w in range(r + 1, 0, -1):
+    for w in range(len(level) - 1, 0, -1):
         for c in level[w]:
-            for rank, x in enumerate(_put_below(c, skips[:w]), 1):
+            for rank, x in enumerate(_put_below(c, _skips(w)), 1):
                 if get(x, 0) < rank:
                     best[x] = rank
     out: list[list[bytes]] = [[] for _ in level]
@@ -323,18 +328,16 @@ def _nest(level: list[list[bytes]], j: int) -> list[list[bytes]]:
     return out
 
 
-def _weigh(level: list[dict[bytes, int]], j: int) -> list[dict[bytes, int]]:
+def _weigh(level: list[dict[bytes, int]]) -> list[dict[bytes, int]]:
     """The next level of the weighted nested insertions into s(S_r), r =
-    len(level) - 2, from the level of length-j elements given as in
-    `_Store.weights`: as `_nest`, but the tables of one last rank are
-    summed, not merged, so each (element, last rank) entry gives its
-    children one `_put_below` and adds its weight to each."""
-    r = len(level) - 2
-    skips = _skips(j, r + 1)
+    len(level) - 2, from the level below it given as in `_Store.weights`:
+    as `_nest`, but the tables of one last rank are summed, not merged, so
+    each (element, last rank) entry gives its children one `_put_below`
+    and adds its weight to each."""
     out: list[dict[bytes, int]] = [{} for _ in level]
-    for w in range(r + 1, 0, -1):
+    for w in range(len(level) - 1, 0, -1):
         for c, n in level[w].items():
-            for child, x in zip(out[1:], _put_below(c, skips[:w])):
+            for child, x in zip(out[1:], _put_below(c, _skips(w))):
                 child[x] = child.get(x, 0) + n
     return out
 
@@ -413,8 +416,9 @@ class _Store:
         return levels[n]
 
     def count(self, n: int, t: int) -> int:
-        """|s^t(S_n)| for t >= 1, holding no level above n-2 unless it is
-        held already.
+        """|s^t(S_n)| for t >= 1.  A held level, and every t >= n-2, is the
+        length of the full level (`image`); any other count holds no level
+        above n-2.
 
         For n >= 2 the elements of s^t(S_n) that start with an ascent are
         exactly g (+) q for q in s^t(S_{n-1}) and 1 <= g <= q_1, where
@@ -428,8 +432,9 @@ class _Store:
             |s^t(S_n)| = |D_n| + sum of x_1 over D_{n-1}
                          + sum of y_1 (y_1 + 1) / 2 over s^t(S_{n-2}),
 
-        and `_peel_join` at n and n-1 reads levels up to n-2 only.  A
-        held s^t(S_{n-1}) is read as it is.
+        and `_peel_join` at n and n-1 reads levels up to n-2 only.  At
+        t = n-2 the identity does not apply at n-1, and `image(n-2, t)`
+        clamps t, so its levels are not the ones `_peel_join` reads.
 
         By induction on n, over sigma = s^t(L n R) with p and K as in
         `_peel_join`.  If |L| < t, sigma = x n with x in s^t(S_{n-1}), and
@@ -440,20 +445,13 @@ class _Store:
         sigma_1 is T n, the image of (L - {sigma_1}) n R, since
         |L| - 1 = p < t.  The converse inserts g into L the same way.
         """
-        t = min(t, max(n - 1, 1))
-        levels = self.sets.get(t, ())
-        if len(levels) > n:
-            return len(levels[n])
-        if t >= n - 1:
+        if t >= n - 2 or len(self.sets.get(t, ())) > n:
             return len(self.image(n, t))
         # every k-th byte of length-k elements, joined, is a first entry
-        if len(levels) == n or t == n - 2:
-            ascents = sum(b"".join(self.image(n - 1, t))[::n - 1])
-        else:
-            firsts = b"".join(self.image(n - 2, t))[::n - 2]
-            ascents = sum(y * (y + 1) for y in firsts) // 2 + sum(
-                b"".join(_peel_join(self, n - 1, t, True))[::n - 1])
-        return ascents + len(_peel_join(self, n, t, True))
+        firsts = b"".join(self.image(n - 2, t))[::n - 2]
+        return (len(_peel_join(self, n, t, True))
+                + sum(b"".join(_peel_join(self, n - 1, t, True))[::n - 1])
+                + sum(y * (y + 1) for y in firsts) // 2)
 
     def preimages(self, k: int) -> dict[bytes, int]:
         """s(S_k), each element mapped to its number of preimages under s,
@@ -469,7 +467,7 @@ class _Store:
             levels = self.unions[r] = [
                 [[]] * (r + 1) + [list(self.image(r, 1))]]
         while len(levels) <= p:
-            levels.append(_nest(levels[-1], r + len(levels) - 1))
+            levels.append(_nest(levels[-1]))
         return levels[p]
 
     def weighted(self, r: int, p: int) -> list[dict[bytes, int]]:
@@ -481,7 +479,7 @@ class _Store:
         if levels is None:
             levels = self.weights[r] = [[{}] * (r + 1) + [self.preimages(r)]]
         while len(levels) <= p:
-            levels.append(_weigh(levels[-1], r + len(levels) - 1))
+            levels.append(_weigh(levels[-1]))
         return levels[p]
 
     def depth(self, x: bytes) -> int:
@@ -564,9 +562,7 @@ class _Store:
         levels = self.avoiding
         while len(levels) <= m:
             k = len(levels) - 1
-            # ups[v] adds one to the entries >= v
-            ups = [bytes(range(v)) + _up(1)[v:] for v in range(k + 2)]
-            levels.append([q.translate(ups[v]) + bytes((v,))
+            levels.append([q.translate(_raise(v)) + bytes((v,))
                            for q in levels[-1] for v in range(
                                q[-1] + 1 if q and q[-1] < k else 1, k + 2)])
         return levels[m]

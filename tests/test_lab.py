@@ -194,10 +194,12 @@ def _count_weighted_builds(monkeypatch) -> list[tuple]:
     builds: list[tuple] = []
     original = lab._weigh
 
-    def counted(level, j):
+    def counted(level):
+        # the elements of level p-1 have length r + p - 1
         r = len(level) - 2
-        builds.append((r, j - r + 1))
-        return original(level, j)
+        element = next(x for table in level for x in table)
+        builds.append((r, len(element) - r + 1))
+        return original(level)
     monkeypatch.setattr(lab, "_weigh", counted)
     return builds
 
@@ -262,9 +264,12 @@ def test_image_calls_outside_a_scope_share_nothing(monkeypatch):
 
 
 def test_relabel_tables_are_built_once_per_process(monkeypatch):
-    # the kept-set, shift and skip tables depend only on sizes: a second
-    # call joins its own levels again but builds no table
-    cached = (lab._kept_table, lab._up, lab._skips)
+    # the kept-set, shift, raise and skip tables depend only on sizes: a
+    # second call joins its own levels again but builds no table.  Every
+    # cached table is cleared, since a warm one skips the calls it makes
+    # to the others
+    cached = (lab._kept_table, lab._kept_tables, lab._up, lab._raise,
+              lab._skips)
     for table in cached:
         table.cache_clear()
 
@@ -283,6 +288,16 @@ def test_relabel_tables_are_built_once_per_process(monkeypatch):
             count_t_stack_sortable(n, t)
     per_k = Counter(k for k, _ in set(kept))
     assert per_k and all(per_k[k] <= 2 ** (k - 1) for k in per_k)
+
+
+def test_raise_tables_match_the_kept_tables_they_replace():
+    # _raise(r) relabels a length-j entry onto {1..j+1} minus r, as the
+    # kept-set table onto [j+1] - {r} does, on every byte the entry holds
+    for j in range(12):
+        for r in range(1, j + 2):
+            kept = lab._kept_table(j + 2, tuple(
+                v for v in range(1, j + 2) if v != r))
+            assert lab._raise(r)[1:j + 1] == kept[1:j + 1], (j, r)
 
 
 def test_peel_join_skips_the_split_that_repeats_the_last_level():
@@ -421,6 +436,14 @@ def test_a_count_never_holds_its_top_level(monkeypatch):
         joins = _count_calls(monkeypatch, "_peel_join")
         assert image_of_iterate(9, 2).count == 1081
         assert joins == []
+    # at n = 9 every t <= 6 holds s^t(S_0) .. s^t(S_7); t = 7 = n-2 reads
+    # the full level, which holds the two elements of s^7(S_9)
+    store = _Store()
+    for t in range(1, 7):
+        store.count(9, t)
+        assert len(store.sets[t]) == 8, t
+    assert store.count(9, 7) == 2
+    assert len(store.sets[7]) == 10 and len(store.sets[7][9]) == 2
 
 
 def _nested_insertions(r, p, q):
