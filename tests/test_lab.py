@@ -290,14 +290,14 @@ def test_relabel_tables_are_built_once_per_process(monkeypatch):
     assert per_k and all(per_k[k] <= 2 ** (k - 1) for k in per_k)
 
 
-def test_raise_tables_match_the_kept_tables_they_replace():
-    # _raise(r) relabels a length-j entry onto {1..j+1} minus r, as the
-    # kept-set table onto [j+1] - {r} does, on every byte the entry holds
-    for j in range(12):
-        for r in range(1, j + 2):
-            kept = lab._kept_table(j + 2, tuple(
-                v for v in range(1, j + 2) if v != r))
-            assert lab._raise(r)[1:j + 1] == kept[1:j + 1], (j, r)
+def test_raise_table_fixes_the_bytes_below_v_and_raises_the_rest():
+    # inserting v into an entry over {1..j} leaves each byte below v and
+    # adds one to each byte from v on
+    for v in range(1, 256):
+        table = lab._raise(v)
+        assert len(table) == 256
+        assert all(table[b] == b for b in range(v)), v
+        assert all(table[b] == b + 1 for b in range(v, 255)), v
 
 
 def test_peel_join_skips_the_split_that_repeats_the_last_level():
