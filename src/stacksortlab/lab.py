@@ -19,14 +19,15 @@ entry.
   start with a descent and reads the rest off the first entries of
   s^t(S_{n-2}) (`_Store.count`), so it holds no level above n-2.
 - Counts are weights.  `count_t_stack_sortable` sums, for t = 1 and
-  every t >= 3, only the splits that s^t sends to the identity, by the same peel, so
-  s^t(S_n) is never built.  Its factor for R is read off weighted
-  nested insertions, which map each element to its number of R and
-  start from s(S_r) with preimage weights (`_join`).  The factor that
-  asks for the identity is read one level lower, off the elements that
-  one pass sorts and their cut points.  A two-pass count builds no
-  level: a polynomial DP over the number of cut points of s(beta)
-  (`_Store.cut_counts`) gives it.
+  every t >= 3, only the splits that s^t sends to the identity, by the
+  same peel, so s^t(S_n) is never built; each t keeps one row of these
+  sums on the store (`_Store.sortable_count`).  Its factor for R is
+  read off weighted nested insertions, which map each element to its
+  number of R and start from s(S_r) with preimage weights (`_join`).
+  The factor that asks for the identity is read one level lower, off
+  the elements that one pass sorts and their cut points.  A two-pass
+  count builds no level: a polynomial DP over the number of cut points
+  of s(beta) (`_Store.cut_counts`) gives it.
 
 Both engines grow the nested insertions one level at a time (`_Store`).
 
@@ -36,11 +37,12 @@ behind an explicit `max_n` with the hard cap at 12.
 
 A `_Store` holds both engines' levels and every count factor H(p, r, e)
 it has found, each built at most once and kept until the store is
-dropped.  `verify_all` and the windows that `verify_prop2` and
-`explore_open` read (`_window`) share one store across every level and
-factor they ask for: the outermost of them opens it and drops it on
-return.  Any other call builds its own store and drops it on return, so
-no level and no factor outlives the call that asked for it.  The
+dropped.  `verify_all`, each image claim (`_image_claim`) and the
+windows that `verify_prop2` and `explore_open` read (`_window`) share
+one store across every level and factor they ask for: the outermost of
+them opens it and drops it on return.  Any other call builds its own
+store and drops it on return, so no level and no factor outlives the
+call that asked for it.  The
 relabel, shift, raise and skip tables (`_kept_table`, `_kept_tables`,
 `_up`, `_raise`, `_skips`) depend only on sizes, so they are per-process
 constants, never levels: at most 2^(k-1) relabel tables for each size k,
@@ -51,18 +53,19 @@ Bell numbers (`bell`).  The avoiders of the barred pattern are counted
 and listed by their generating tree, so no production path scans S_n.
 
 Each claim builds its report in one place: `_image_claim` for Theorems
-1 and 2, `_count_claim` for the three counts.
+1 and 2, `_count_claim` for the three counts.  An image claim compares
+the level as the store holds it, a set of packed elements, with a
+packed prediction (`_predicted_image`), and counts that same level.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import functools
 import itertools
 import math
 import time
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (InvalidPermutationError, PreconditionError,
                      ResourceBoundError)
@@ -263,11 +266,13 @@ def _peel_join(store: _Store, k: int, t: int,
         starts = []
         for ys in store.nested(k - 1 - size - p, p):
             starts.append(len(products))
-            rights = [y.translate(up) + top for y in ys]
-            products += [x + y for x in lefts for y in rights]
+            if ys:
+                rights = [y.translate(up) + top for y in ys]
+                products += [x + y for x in lefts for y in rights]
         for g in range(size, k - p):  # each K with max K = g
             # U(r, p, q) with q = g - size
-            above = products[starts[g - size + 1]:]
+            start = starts[g - size + 1]
+            above = products[start:] if start else products
             if descents and size == 1:  # K = {g}: byte 1 is y_1 + 1
                 above = [x for x in above if x[1] <= g]
             if above:
@@ -389,7 +394,9 @@ class _Store:
     element asked about to the number of sorting passes that sort it;
     `reaches` maps (p, r, e) to H(p, r, e) (`reach`), so claims that
     share the store find each once; `cuts[j]` and `tails[j]` are the
-    rows P_j and Q_j of the two-pass DP (`cut_counts`); `ends[k]` maps
+    rows P_j and Q_j of the two-pass DP (`cut_counts`); `sortable[t]`
+    is the row W_t(0..k) of the split recurrence for t = 1 or t >= 3
+    (`sortable_count`), grown no further than asked; `ends[k]` maps
     the states of the avoiders in S_k to their numbers (`avoider_ends`).
     """
 
@@ -400,6 +407,7 @@ class _Store:
         self.weights: dict[int, list[list[dict[bytes, int]]]] = {}
         self.depths: dict[bytes, int] = {}
         self.reaches: dict[tuple[int, int, int], int] = {}
+        self.sortable: dict[int, list[int]] = {}
         self.cuts: list[list[int]] = [[1]]
         self.tails: list[list[int]] = [[0, 1]]
         self.avoiding: list[list[bytes]] = [[b""]]
@@ -518,6 +526,23 @@ class _Store:
             self.reaches[p, r, e] = h
         return h
 
+    def sortable_count(self, t: int, n: int) -> int:
+        """W_t(n) for t = 1 or t >= 3, by the split recurrence of
+        `count_t_stack_sortable`.  Each entry of the row W_t is grown once,
+        from the entries below it, and none past n."""
+        row = self.sortable.setdefault(t, [1])
+        while len(row) <= n:
+            k = len(row)
+            if k <= t + 1:  # k-1 passes sort S_k
+                total = k * row[-1]
+            else:
+                total = row[k - 1]
+                for a in range(1, k):
+                    p, r, e = min(a, t - 1), k - 1 - a, max(t - 1 - a, 0)
+                    total += row[a] * (self.reach(p, r, e) if p else row[r])
+            row.append(total)
+        return row[n]
+
     def cut_counts(self, j: int) -> list[int]:
         """P_j: at k, the number of beta in S_j that two passes sort and
         whose s(beta) has k cut points c >= 1 (`count_t_stack_sortable`).
@@ -577,15 +602,18 @@ def _store() -> _Store:
     return _STORE.get() or _Store()
 
 
-@contextlib.contextmanager
-def _sharing_levels() -> Iterator[None]:
+class _sharing_levels:
     """Share one `_Store` across every image built inside the block; a
-    nested block keeps the store of the outermost one."""
-    token = _STORE.set(_store())
-    try:
-        yield
-    finally:
-        _STORE.reset(token)
+    nested block keeps the store of the outermost one.  A class, not a
+    generator, since every image claim opens one."""
+
+    __slots__ = ("token",)
+
+    def __enter__(self) -> None:
+        self.token = _STORE.set(_store())
+
+    def __exit__(self, *exc: object) -> None:
+        _STORE.reset(self.token)
 
 
 def _brute_image(n: int, t: int) -> frozenset[Perm]:
@@ -694,36 +722,49 @@ def characterize_membership_rule(
 # ---------------------------------------------------------------------------
 # Verification suites
 
-def _predicted_image(n: int, t: int) -> frozenset[Perm]:
-    """The characterized set {p in S_n : tail length >= t, avoider}, built
-    as every avoider q in S_{n-t} (`_Store.avoiders`) followed by the
-    fixed tail n-t+1..n."""
+def _predicted_image(n: int, t: int) -> frozenset[bytes]:
+    """The characterized set {p in S_n : tail length >= t, avoider},
+    byte-packed, built as every avoider q in S_{n-t} (`_Store.avoiders`)
+    followed by the fixed tail n-t+1..n."""
     m = n - t
     # appending larger increasing entries adds no descent top and keeps the
     # earlier left-to-right maxima, so q + tail avoids exactly when q does
     fixed_tail = bytes(range(m + 1, n + 1))
-    return frozenset(tuple(q + fixed_tail) for q in _store().avoiders(m))
+    return frozenset(q + fixed_tail for q in _store().avoiders(m))
 
 
 def _image_claim(claim: str, m: int, n: int, expected: int,
-                 extra: frozenset[Perm],
+                 extra: frozenset[bytes],
                  max_n: int | None) -> VerificationReport:
     """Check |s^{n-m}(S_n)| = expected, with the image equal element by
     element to the characterized set plus `extra`.  When `extra` is given,
     also check that its members are exactly the image elements that
-    contain the barred pattern (`zeta_exact`)."""
-    report = image_of_iterate(n, n - m, keep_elements=True, max_n=max_n)
-    assert report.elements is not None
-    predicted = _predicted_image(n, n - m)
-    checks = {"set_equal": report.elements == (
+    contain the barred pattern (`zeta_exact`).
+
+    The checks read the level as the store holds it, a set of packed
+    elements, and the report counts that same level, so nothing is
+    copied or built twice.  No store holds the 0-fold image, all of S_n,
+    so it alone comes from the report's elements."""
+    t = n - m
+    with _sharing_levels():
+        if t:
+            image = _store().image(n, t)
+            observed = image_of_iterate(n, t, max_n=max_n).count
+        else:
+            report = image_of_iterate(n, t, keep_elements=True, max_n=max_n)
+            assert report.elements is not None
+            image = {bytes(p) for p in report.elements}
+            observed = report.count
+        predicted = _predicted_image(n, t)
+    checks = {"set_equal": image == (
         predicted | extra if extra else predicted)}
     if extra:
         checks["zeta_exact"] = extra == {
-            p for p in report.elements if not descent_tops_are_lr_maxima(p)}
+            p for p in image if not descent_tops_are_lr_maxima(p)}
     return VerificationReport(
         claim=claim, parameters={"m": m, "n": n, **checks},
-        expected=expected, observed=report.count,
-        passed=expected == report.count and all(checks.values()))
+        expected=expected, observed=observed,
+        passed=expected == observed and all(checks.values()))
 
 
 def _count_claim(claim: str, n: int, expected: int,
@@ -764,7 +805,7 @@ def verify_theorem2(m: int, max_n: int | None = None) -> VerificationReport:
         raise PreconditionError(f"needs m >= 3, got m={m}")
     from .constructions import zeta
     _require_within(2 * m - 3, max_n)  # before B_m and the zetas
-    zetas = frozenset(zeta(ell, m) for ell in range(3, m + 1))
+    zetas = frozenset(bytes(zeta(ell, m)) for ell in range(3, m + 1))
     return _image_claim("theorem2", m, 2 * m - 3, bell(m) + m - 2, zetas,
                         max_n)
 
@@ -830,7 +871,9 @@ def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
     passes.  W(k) = k! for k <= t+1, since k-1 passes sort S_k.  For
     t = 1, H(0, r, 0) = W_1(r), so no level is built.  For t >= 3 every
     H is found once per store, and the e = 0 terms read level t-2, so
-    level t-1 is never built.
+    level t-1 is never built.  The row W_t(0..n) stays on the store
+    (`_Store.sortable_count`), so claims that share it grow each entry
+    once.
 
     For t = 2 no level is built at all.  For beta in S_j that two passes
     sort, let kappa(beta) count the cut points c = 1..j of s(beta), those
@@ -857,14 +900,7 @@ def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:
     store = _store()
     if t == 2:
         return sum(store.cut_counts(n))
-    weights = [math.factorial(k) for k in range(min(n, t + 1) + 1)]
-    for k in range(len(weights), n + 1):
-        total = weights[k - 1]
-        for a in range(1, k):
-            p, r, e = min(a, t - 1), k - 1 - a, max(t - 1 - a, 0)
-            total += weights[a] * (store.reach(p, r, e) if p else weights[r])
-        weights.append(total)
-    return weights[n]
+    return store.sortable_count(t, n)
 
 
 def verify_thm3_count(n: int, max_n: int | None = None) -> VerificationReport:

@@ -205,6 +205,20 @@ def _count_weighted_builds(monkeypatch) -> list[tuple]:
 
 
 def test_verify_all_builds_each_level_once(monkeypatch):
+    # the grid's one store starts its row W_1 as a list that logs each
+    # entry it grows
+    grown = []
+
+    class Row(list):
+        def append(self, value):
+            grown.append(len(self))
+            super().append(value)
+    init = _Store.__init__
+
+    def spied(self):
+        init(self)
+        self.sortable[1] = Row([1])
+    monkeypatch.setattr(_Store, "__init__", spied)
     joins = _count_calls(monkeypatch, "_join")
     builds = _count_weighted_builds(monkeypatch)
     set_joins = _count_calls(monkeypatch, "_peel_join")
@@ -216,6 +230,8 @@ def test_verify_all_builds_each_level_once(monkeypatch):
     # one per `_put_below`
     assert joins == [] and builds == []
     assert len(sorts) == len(insertions)
+    # the eight catalan claims read one row W_1 and grow each entry once
+    assert grown == list(range(1, 9))
     # the images build each set level s^t(S_k) once, up to the largest n
     # asked with that t: s(S_5) for theorem2 at m = 4, s^2(S_7) at m = 5,
     # and n = 8 for every t >= 3 (t >= 8 is clamped to 7)
@@ -574,6 +590,9 @@ def test_passes_stop_at_the_identity_for_any_t():
         # images clamp t to n-1 = 4, s^4(S_5), the identity alone
         assert lab._store().image(5, 10**9) == {bytes(range(1, 6))}
         store = lab._STORE.get()
+        # a count grows its row W_t only up to n, whatever t is
+        assert count_t_stack_sortable(5, 10**4) == 120
+        assert store.sortable[10**4] == [1, 1, 2, 6, 24, 120]
         assert max(store.sets) == 4 and \
             lab._store().image(5, 4) is store.sets[4][5]
         # counts ask how many passes an element needs, walking its
@@ -795,6 +814,22 @@ def test_image_claims_fail_when_the_predicted_set_misses_an_element(
         assert report.expected == report.observed and not report.passed
 
 
+def test_image_claims_read_the_level_the_engine_holds():
+    # a claim that compared its prediction with a copy of itself, or built
+    # its level again in a store of its own, would pass on tampered levels
+    with _sharing_levels():
+        store = lab._store()
+        foreign = store.image(6, 3)
+        foreign.add(bytes([6, 5, 4, 3, 2, 1]))  # tail length 0
+        short = store.image(7, 2)
+        short.remove(min(short))
+        reports = (verify_theorem1(3, 6), verify_theorem2(5))
+    # B_3 and the foreign element; B_5 + 5 - 2 less the dropped one
+    for report, size in zip(reports, (bell(3) + 1, bell(5) + 5 - 2 - 1)):
+        assert report.parameters["set_equal"] is False, report.claim
+        assert report.observed == size and not report.passed, report.claim
+
+
 def test_theorem2_fails_when_the_pattern_check_finds_no_zeta(monkeypatch):
     monkeypatch.setattr(lab, "descent_tops_are_lr_maxima", lambda p: True)
     report = verify_theorem2(4)
@@ -854,6 +889,10 @@ def test_targeted_counts_match_image_weights():
     for n in range(11):
         for t in range(1, n + 2):
             assert count_t_stack_sortable(n, t) == expected(n, t), (n, t)
+    with _sharing_levels():
+        for n in range(11):
+            for t in range(1, n + 2):
+                assert count_t_stack_sortable(n, t) == expected(n, t), (n, t)
     with _sharing_levels():
         for n in range(10, -1, -1):
             for t in range(n + 1, 0, -1):
@@ -960,12 +999,13 @@ def test_count_t_stack_sortable_matches_oracle():
 
 
 def test_predicted_image_matches_definition():
-    # positional barred-pattern search, not the descent-top rule
+    # positional barred-pattern search, not the descent-top rule; the
+    # predicted set is byte-packed, as the image levels are
     for n in range(9):
         avoiders = [(p, tail_length(p)) for p in perms(n)
                     if avoids_barred_3241(p)]
         for t in range(n + 1):
-            expected = {p for p, tail in avoiders if tail >= t}
+            expected = {bytes(p) for p, tail in avoiders if tail >= t}
             assert _predicted_image(n, t) == expected, (n, t)
 
 
@@ -978,7 +1018,7 @@ def test_predicted_image_matches_the_filter_of_s_m():
             for t in range(4):
                 tail = tuple(range(m + 1, m + t + 1))
                 assert _predicted_image(m + t, t) == {
-                    q + tail for q in avoiders}, (m, t)
+                    bytes(q + tail) for q in avoiders}, (m, t)
         assert len(lab._store().avoiding) == 9
 
 
