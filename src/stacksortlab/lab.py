@@ -13,11 +13,12 @@ entry.
   union of nested-insertion tables, then n; all L with |L| < t together
   give s^t(S_{n-1}) n, and so does L = [n-1], so that split is skipped.
   Both factors depend only on the kept part K of L, so the join forms
-  the products of each size of K once and relabels them onto each K
-  with one `bytes.translate`; the cost follows m = n - t.  A count at
-  t <= n-3 joins only the elements of s^t(S_n) and s^t(S_{n-1}) that
-  start with a descent and reads the rest off the first entries of
-  s^t(S_{n-2}) (`_Store.count`), so it holds no level above n-2.
+  the products of each size of K once and relabels them onto every K
+  that reads them in one `set.update`, one `bytes.translate` per
+  product; the cost follows m = n - t.  A count at t <= n-3 joins only
+  the elements of s^t(S_n) and s^t(S_{n-1}) that start with a descent
+  and reads the rest off the first entries of s^t(S_{n-2})
+  (`_Store.count`), so it holds no level above n-2.
 - Counts are weights.  `count_t_stack_sortable` sums, for t = 1 and
   every t >= 3, only the splits that s^t sends to the identity, by the
   same peel, so s^t(S_n) is never built; each t keeps one row of these
@@ -33,7 +34,8 @@ Both engines grow the nested insertions one level at a time (`_Store`).
 
 The levels are tiny next to n! (|s(S_9)| = 11033 and |s^2(S_9)| = 1081
 against 362880).  The default bound is n <= 10; 11 and 12 are allowed
-behind an explicit `max_n` with the hard cap at 12.
+behind an explicit `max_n` with the hard cap at 12.  A kept image holds
+at most `KEEP_ALL_MAX_N`! = 9! elements.
 
 A `_Store` holds both engines' levels and every count factor H(p, r, e)
 it has found, each built at most once and kept until the store is
@@ -42,15 +44,15 @@ windows that `verify_prop2` and `explore_open` read (`_window`) share
 one store across every level and factor they ask for: the outermost of
 them opens it and drops it on return.  Any other call builds its own
 store and drops it on return, so no level and no factor outlives the
-call that asked for it.  The
-relabel, shift, raise and skip tables (`_kept_table`, `_kept_tables`,
-`_up`, `_raise`, `_skips`) depend only on sizes, so they are per-process
-constants, never levels: at most 2^(k-1) relabel tables for each size k,
-which `_kept_tables` groups into one tuple per |K| and max K; `_raise(v)`
-moves the entries >= v up by one, for the nested insertions (`_skips`)
-and the avoiders' generating tree alike.  So are the
-Bell numbers (`bell`).  The avoiders of the barred pattern are counted
-and listed by their generating tree, so no production path scans S_n.
+call that asked for it.  The relabel, shift, raise and skip tables
+(`_kept_table`, `_kept_tables`, `_up`, `_raise`, `_skips`) depend only
+on sizes, so they are per-process constants, never levels: at most
+2^(k-1) relabel tables for each size k, which `_kept_tables` groups
+into one tuple per |K| and bound on max K; `_raise(v)` moves the
+entries >= v up by one, for the nested insertions (`_skips`) and the
+avoiders' generating tree alike.  So are the Bell numbers (`bell`).
+The avoiders of the barred pattern are counted and listed by their
+generating tree, so no production path scans S_n.
 
 Each claim builds its report in one place: `_image_claim` for Theorems
 1 and 2, `_count_claim` for the three counts.  An image claim compares
@@ -69,13 +71,15 @@ from typing import NamedTuple, Sequence
 
 from .errors import (InvalidPermutationError, PreconditionError,
                      ResourceBoundError)
-from .patterns import descent_tops_are_lr_maxima
-from .perm import Perm, identity, is_standard, tail_length
+from .perm import (Perm, descent_tops_are_lr_maxima, identity, is_standard,
+                   tail_length)
 from .stacksort import _stack_pass, stack_sort_iterate
 
 DEFAULT_MAX_N = 10
 HARD_MAX_N = 12
-KEEP_ALL_MAX_N = 9  # all of S_10 would take about 0.5 GB
+# a kept image holds at most KEEP_ALL_MAX_N! elements: all of S_10 would
+# take about 0.5 GB
+KEEP_ALL_MAX_N = 9
 
 
 def _resolve_bound(max_n: int | None) -> int:
@@ -84,6 +88,16 @@ def _resolve_bound(max_n: int | None) -> int:
         raise ResourceBoundError(
             f"enumeration bound {bound} exceeds the hard cap {HARD_MAX_N}")
     return bound
+
+
+def _require_keepable(n: int, t: int, count: int) -> None:
+    """Refuse to keep the `count` elements of s^t(S_n) past the budget of
+    KEEP_ALL_MAX_N! elements."""
+    budget = math.factorial(KEEP_ALL_MAX_N)
+    if count > budget:
+        raise ResourceBoundError(
+            f"keeping the {count} elements of s^{t}(S_{n}) is capped at "
+            f"{KEEP_ALL_MAX_N}! = {budget}; the count alone is allowed")
 
 
 def _require_within(n: int, max_n: int | None) -> None:
@@ -197,10 +211,10 @@ def _kept_table(k: int, kept: tuple[int, ...]) -> bytes:
 
 
 @functools.cache
-def _kept_tables(k: int, size: int, g: int) -> tuple[bytes, ...]:
-    """The `_kept_table`s of every K, a subset of [k-1], with |K| = size
-    and max K = g."""
-    return tuple(_kept_table(k, rest + (g,))
+def _kept_tables(k: int, size: int, top: int) -> tuple[bytes, ...]:
+    """The `_kept_table`s of every K, a subset of [k-1] with |K| = size
+    and max K <= top, ordered by max K."""
+    return tuple(_kept_table(k, rest + (g,)) for g in range(size, top + 1)
                  for rest in itertools.combinations(range(1, g), size - 1))
 
 
@@ -235,21 +249,22 @@ def _peel_join(store: _Store, k: int, t: int,
     rest below max K, which no v may take.  So the join loops over K, not
     over L.  The product for K is the one for [|K|], x (y + |K|) k
     (`_up`), relabelled by K's table (`_kept_table`), so each size's
-    products are formed once, in one list ordered by last rank.  The K
-    with max K = g share q, so for each g the products above q are
-    sliced off once and relabelled through the tables of those K
-    (`_kept_tables`); a g with no product above q is skipped.  Every L
-    with |L| < t together gives s^t(S_{k-1}) k, which the store already
-    holds, and so does L = [k-1] (K = [k-1-p], r = 0), so the join skips
-    that K.
+    products are formed once, one block per last rank w of the right
+    factor.  The block of rank w lies in U(r, p, q) for every q < w, that
+    is for every K with max K <= w + |K| - 1, so each block goes through
+    the tables of all those K (`_kept_tables`) in one `set.update`; an
+    empty rank list is skipped.  Every L with |L| < t together gives
+    s^t(S_{k-1}) k, which the store already holds, and so does L = [k-1]
+    (K = [k-1-p], r = 0), so the join skips that K.
 
     Relabelling onto K keeps order, so a product starts with a descent
     when its left factor does, or, for K = {g}, when y_1 < g.  So with
-    `descents` each size's lefts are filtered once, and the size-1
-    products once per g; a full level runs none of these filters.  Nor
-    does `descents` form s^t(S_{k-1}) k: appending a maximum to R
-    commutes with every pass, so each of its elements that starts with a
-    descent is formed again by some K with |K| >= 1.
+    `descents` each size's lefts are filtered once, and each size-1 block
+    is filtered down g = w, ..., 1, one table per g; a full level runs
+    none of these filters.  Nor does `descents` form s^t(S_{k-1}) k:
+    appending a maximum to R commutes with every pass, so each of its
+    elements that starts with a descent is formed again by some K with
+    |K| >= 1.
     """
     p = t - 1
     levels = store.sets[t]
@@ -260,25 +275,22 @@ def _peel_join(store: _Store, k: int, t: int,
         if descents and size > 1:
             lefts = [x for x in lefts if x[0] > x[1]]
         up = _up(size)
-        # the products of K = [size], in order of the right factor's last
-        # rank; those of rank w start at starts[w]
-        products: list[bytes] = []
-        starts = []
-        for ys in store.nested(k - 1 - size - p, p):
-            starts.append(len(products))
-            if ys:
-                rights = [y.translate(up) + top for y in ys]
-                products += [x + y for x in lefts for y in rights]
-        for g in range(size, k - p):  # each K with max K = g
-            # U(r, p, q) with q = g - size
-            start = starts[g - size + 1]
-            above = products[start:] if start else products
+        for w, ys in enumerate(store.nested(k - 1 - size - p, p)):
+            if not ys:
+                continue
+            rights = [y.translate(up) + top for y in ys]
+            block = [x + y for x in lefts for y in rights]
+            kept = _kept_tables(k, size, w + size - 1)
             if descents and size == 1:  # K = {g}: byte 1 is y_1 + 1
-                above = [x for x in above if x[1] <= g]
-            if above:
-                for table in _kept_tables(k, size, g):
-                    out.update(map(bytes.translate, above,
-                                   itertools.repeat(table)))
+                for g in range(w, 0, -1):
+                    block = [x for x in block if x[1] <= g]
+                    if not block:
+                        break
+                    out.update(map(bytes.translate, block,
+                                   itertools.repeat(kept[g - 1])))
+            else:
+                out.update(itertools.starmap(
+                    bytes.translate, itertools.product(block, kept)))
     return out
 
 
@@ -637,8 +649,10 @@ def image_of_iterate(
     (`_peel_join`) in the calling process; no preimage weight is formed.
     Without `keep_elements` s^t(S_n) is counted, not held
     (`_Store.count`).  Past t = n-1 the image is the identity alone.
-    Keeping the elements of the 0-fold image (all of S_n) is refused
-    above n = `KEEP_ALL_MAX_N`, whatever `max_n` says.
+    Keeping more than `KEEP_ALL_MAX_N`! elements is refused, whatever
+    `max_n` says: all of S_n above n = `KEEP_ALL_MAX_N`, and under the
+    hard cap s(S_11) and s(S_12).  The count decides before any level
+    above n-2 is built.
     `shards` must be >= 1 and is otherwise ignored; ROADMAP item 1
     removes it together with the benchmark plans that pass it.
     """
@@ -647,10 +661,8 @@ def image_of_iterate(
         raise ValueError("t must be nonnegative")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    if t == 0 and keep_elements and n > KEEP_ALL_MAX_N:
-        raise ResourceBoundError(
-            f"keeping the {n}! elements of S_n (t = 0) is capped at "
-            f"n <= {KEEP_ALL_MAX_N}; the count alone is allowed")
+    if t == 0 and keep_elements:
+        _require_keepable(n, t, math.factorial(n))
     start = time.perf_counter()
     if t == 0:
         # the 0-fold image is all of S_n; nothing to build for a count
@@ -659,7 +671,12 @@ def image_of_iterate(
         return ImageReport(n=n, t=t, count=math.factorial(n),
                            elements=elements, wall_time=time.perf_counter() - start)
     if keep_elements:
-        image = _store().image(n, t)
+        with _sharing_levels():
+            store = _store()
+            # |s^t(S_n)| <= n!, so only n > KEEP_ALL_MAX_N can be refused
+            if n > KEEP_ALL_MAX_N:
+                _require_keepable(n, t, store.count(n, t))
+            image = store.image(n, t)
         count, elements = len(image), frozenset(tuple(code) for code in image)
     else:
         count, elements = _store().count(n, t), None

@@ -14,7 +14,9 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidPermutationError, ParseError, PreconditionError
-from .perm import Perm, is_standard
+# the descent-top check lives in perm, so the lab uses it without loading
+# this module; it is re-exported here
+from .perm import Perm, descent_tops_are_lr_maxima, is_standard
 from .stacksort import is_t_stack_sortable
 
 
@@ -87,22 +89,6 @@ def find_barred_3241(p: Sequence[int]) -> BarredOccurrence | None:
 def avoids_barred_3241(p: Sequence[int]) -> bool:
     """Negation of `find_barred_3241` producing a witness."""
     return find_barred_3241(p) is None
-
-
-def descent_tops_are_lr_maxima(p: Sequence[int]) -> bool:
-    """True when every descent top is a left-to-right maximum.
-
-    Single pass, no allocation; agrees with `avoids_barred_3241` on every
-    permutation and is the check used inside enumeration loops.
-    """
-    prefix_max = 0
-    for i in range(len(p) - 1):
-        x = p[i]
-        if x > prefix_max:
-            prefix_max = x
-        elif x > p[i + 1]:
-            return False
-    return True
 
 
 def barred_occurrence_involving_min(p: Sequence[int]) -> BarredOccurrence | None:

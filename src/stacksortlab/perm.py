@@ -98,6 +98,22 @@ def lr_maxima(p: Sequence[int]) -> set[int]:
     return out
 
 
+def descent_tops_are_lr_maxima(p: Sequence[int]) -> bool:
+    """True when every descent top is a left-to-right maximum.
+
+    Single pass, no allocation; agrees with `patterns.avoids_barred_3241`
+    on every permutation and is the check used inside enumeration loops.
+    """
+    prefix_max = 0
+    for i in range(len(p) - 1):
+        x = p[i]
+        if x > prefix_max:
+            prefix_max = x
+        elif x > p[i + 1]:
+            return False
+    return True
+
+
 def tail_length(p: Sequence[int]) -> int:
     """Length of the longest suffix fixed pointwise (p_i = i).
 

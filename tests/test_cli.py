@@ -308,6 +308,10 @@ def test_resource_error_exit_code(capsys):
     assert "resource error:" in out_of(capsys)[1]
     assert run(["count-image", "--n", "10", "--t", "0"]) == 0
     assert out_of(capsys)[0] == "3628800"
+    assert run(["count-image", "--n", "11", "--t", "1", "--keep-elements",
+                "--max-n", "11"]) == 3
+    out, err = out_of(capsys)
+    assert out == "" and "resource error:" in err, err
     assert run(["verify", "thm3_count", "--n", "11"]) == 3
     assert "resource error:" in out_of(capsys)[1]
 

@@ -31,7 +31,15 @@ _COMMANDS = (
      ("stacksortlab.lab", "stacksortlab.constructions",
       "stacksortlab.patterns", "dataclasses", "json", "csv"), ()),
     (["zeta", "--l", "3", "--m", "5"], ("stacksortlab.lab",), ()),
-    (["count-image", "--n", "5", "--t", "1"], ("stacksortlab.constructions",),
+    # the lab never loads patterns, and loads constructions only for zetas
+    (["count-image", "--n", "5", "--t", "1"],
+     ("stacksortlab.constructions", "stacksortlab.patterns"),
+     ("stacksortlab.lab",)),
+    (["verify", "catalan", "--n", "5"],
+     ("stacksortlab.constructions", "stacksortlab.patterns"),
+     ("stacksortlab.lab",)),
+    (["verify", "theorem1", "--m", "3", "--n", "5"],
+     ("stacksortlab.constructions", "stacksortlab.patterns"),
      ("stacksortlab.lab",)),
 )
 

@@ -562,6 +562,25 @@ def test_unions_from_rank_one_are_image_levels():
             store.image(r + p, p + 1), (r, p)
 
 
+def test_union_ranks_are_restricted_images():
+    # level p of the unions at r = n - p holds x = s^{p+1}(A (n+1) B) less
+    # its last entry, over A B in S_n with |A| = p, each x at the largest
+    # min(A) over those preimages; so U(r, p, q) is the (p+1)-fold image of
+    # the permutations with their maximum at position p+1 whose first p
+    # entries all exceed q
+    for n in range(1, 8):
+        for p in range(1, n + 1):
+            rank: dict = {}
+            for ab in perms(n):
+                x = stack_sort_iterate(ab[:p] + (n + 1,) + ab[p:], p + 1)
+                x = bytes(x[:-1])
+                rank[x] = max(rank.get(x, 0), min(ab[:p]))
+            nested = _Store().nested(n - p, p)
+            held = {x: w for w, xs in enumerate(nested) for x in xs}
+            assert sum(map(len, nested)) == len(held), (n, p)
+            assert held == rank, (n, p)
+
+
 def test_weighted_levels_sort_each_entry_once(monkeypatch):
     # level l+1 of the weighted nested insertions costs one `_put_below`
     # per (element, last rank) entry of level l, however many tables of
@@ -618,6 +637,10 @@ def test_image_bounds():
         image_of_iterate(10, 0, keep_elements=True)
     assert image_of_iterate(10, 0).count == 3628800
     assert image_of_iterate(11, 0, max_n=12).count == 39916800
+    # a kept image of any t holds at most 9! elements: s(S_11) has 578290
+    with pytest.raises(ResourceBoundError):
+        image_of_iterate(11, 1, keep_elements=True, max_n=11)
+    assert len(image_of_iterate(10, 1, keep_elements=True).elements) == 76028
     with pytest.raises(ValueError):
         image_of_iterate(4, -1)
     with pytest.raises(ValueError):
