@@ -30,7 +30,9 @@ entry.
   count builds no level: a polynomial DP over the number of cut points
   of s(beta) (`_Store.cut_counts`) gives it.
 
-Both engines grow the nested insertions one level at a time (`_Store`).
+Both engines grow the nested insertions one level at a time (`_Store`);
+the image engine's start from the s(S_r) the store already holds, so a
+store holds each s(S_r) once.
 
 The levels are tiny next to n! (|s(S_9)| = 11033 and |s^2(S_9)| = 1081
 against 362880).  The default bound is n <= 10; 11 and 12 are allowed
@@ -48,7 +50,8 @@ call that asked for it.  The relabel, shift, raise and skip tables
 (`_kept_table`, `_kept_tables`, `_up`, `_raise`, `_skips`) depend only
 on sizes, so they are per-process constants, never levels: at most
 2^(k-1) relabel tables for each size k, which `_kept_tables` groups
-into one tuple per |K| and bound on max K; `_raise(v)` moves the
+into one tuple per (k, |K|, bound on max K), the only way the set, the
+descent and the weighted joins read them; `_raise(v)` moves the
 entries >= v up by one, for the nested insertions (`_skips`) and the
 avoiders' generating tree alike.  So are the Bell numbers (`bell`).
 The avoiders of the barred pattern are counted and listed by their
@@ -67,7 +70,7 @@ import functools
 import itertools
 import math
 import time
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .errors import (InvalidPermutationError, PreconditionError,
                      ResourceBoundError)
@@ -212,10 +215,13 @@ def _kept_table(k: int, kept: tuple[int, ...]) -> bytes:
 
 @functools.cache
 def _kept_tables(k: int, size: int, top: int) -> tuple[bytes, ...]:
-    """The `_kept_table`s of every K, a subset of [k-1] with |K| = size
-    and max K <= top, ordered by max K."""
-    return tuple(_kept_table(k, rest + (g,)) for g in range(size, top + 1)
-                 for rest in itertools.combinations(range(1, g), size - 1))
+    """The `_kept_table`s of every K, a subset of [top] with |K| = size:
+    for size 0 the identity alone, and for size 1 the table of {g} at
+    g-1.  Ordered by max K: in `itertools.combinations` order the peel
+    join of s(S_9) measured about 2 % slower."""
+    kept_sets = itertools.combinations(range(1, top + 1), size)
+    return tuple(_kept_table(k, kept)
+                 for kept in sorted(kept_sets, key=lambda kept: kept[-1:]))
 
 
 @functools.cache
@@ -322,7 +328,7 @@ def _skips(w: int) -> tuple[tuple[int, bytes, bytes], ...]:
     return tuple((r, _raise(r), bytes([r])) for r in range(1, w + 1))
 
 
-def _nest(level: list[list[bytes]]) -> list[list[bytes]]:
+def _nest(level: list[Collection[bytes]]) -> list[list[bytes]]:
     """The next level of the nested insertions into s(S_r), r = len(level)
     - 2, from the level below it given as in `_Store.unions`.
 
@@ -367,24 +373,23 @@ def _join(levels: list[dict[bytes, int]], k: int) -> dict[bytes, int]:
     A left-to-right maximum empties the stack, so s(L k R) = s(L) s(R) k.
     The preimages with a fixed L pair one preimage of each factor, so
     weights multiply; different L give disjoint preimages, so their
-    weights add where they reach the same element.  The right factors
-    are shifted up by |L| once per size, and each product is relabelled
-    onto L with one table, as in `_peel_join`.
+    weights add where they reach the same element.  As in `_peel_join`,
+    the product for L is the one for [|L|], x (y + |L|) k, relabelled by
+    L's table, so each size's weighted products are formed once and sent
+    through the tables of every L of that size (`_kept_tables`).
     """
     out: dict[bytes, int] = {}
     get = out.get
     top = bytes([k])
     for a in range(k):
-        lefts = levels[a].items()
         up = _up(a)
-        rights = [(y.translate(up) + top, wy)
-                  for y, wy in levels[k - 1 - a].items()]
-        for left in itertools.combinations(range(1, k), a):
-            table = _kept_table(k, left)
-            for x, wx in lefts:
-                for y, wy in rights:
-                    key = (x + y).translate(table)
-                    out[key] = get(key, 0) + wx * wy
+        products = [(x + y.translate(up) + top, wx * wy)
+                    for x, wx in levels[a].items()
+                    for y, wy in levels[k - 1 - a].items()]
+        for table in _kept_tables(k, a, k - 1):
+            for xy, w in products:
+                key = xy.translate(table)
+                out[key] = get(key, 0) + w
     return out
 
 
@@ -398,7 +403,9 @@ class _Store:
     starting from s(S_r) alone at w = r+1.  Images: `sets[t][k]` is
     s^t(S_k), grown one size at a time by `_peel_join`; `unions[r][p]`,
     grown by `_nest`, holds at w every element whose largest last rank
-    over the T(r, ranks) with p ranks is w; `avoiding[k]` lists the
+    over the T(r, ranks) with p ranks is w, and level 0 holds the set
+    `sets[1][r]` itself, so the store holds s(S_r) once for the images,
+    the unions and every image count at t >= 2; `avoiding[k]` lists the
     avoiders of the barred pattern in S_k (`avoiders`).  Counts:
     `levels[k]` is s(S_k) with preimage weights, grown by `_join`;
     `weights[r][p]`, grown by `_weigh`, maps at w each element to its
@@ -414,7 +421,7 @@ class _Store:
 
     def __init__(self) -> None:
         self.sets: dict[int, list[set[bytes]]] = {}
-        self.unions: dict[int, list[list[list[bytes]]]] = {}
+        self.unions: dict[int, list[list[Collection[bytes]]]] = {}
         self.levels: list[dict[bytes, int]] = [{b"": 1}]
         self.weights: dict[int, list[list[dict[bytes, int]]]] = {}
         self.depths: dict[bytes, int] = {}
@@ -480,12 +487,11 @@ class _Store:
             self.levels.append(_join(self.levels, len(self.levels)))
         return self.levels[k]
 
-    def nested(self, r: int, p: int) -> list[list[bytes]]:
+    def nested(self, r: int, p: int) -> list[Collection[bytes]]:
         """Level p of `unions[r]`, grown once from the one below it."""
         levels = self.unions.get(r)
         if levels is None:
-            levels = self.unions[r] = [
-                [[]] * (r + 1) + [list(self.image(r, 1))]]
+            levels = self.unions[r] = [[[]] * (r + 1) + [self.image(r, 1)]]
         while len(levels) <= p:
             levels.append(_nest(levels[-1]))
         return levels[p]
@@ -729,7 +735,11 @@ def characterize_membership_rule(
             f"scale")
     # the image stays in the scope's store, so membership reads its set
     # instead of a copy of every element as a tuple; built first, the
-    # report counts the held level
+    # report counts the held level.  The report is discarded, yet the call
+    # stays: the traced perm-queries run checks `lab.perms_scanned`, to
+    # which the tracer adds n! per `image_of_iterate` call;
+    # `test_characterize_fallback_keeps_no_elements` pins it; and ROADMAP
+    # item 1 removes it together with `shards`
     with _sharing_levels():
         image = _store().image(n, t)
         image_of_iterate(n, t, max_n=max_n)

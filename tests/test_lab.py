@@ -316,6 +316,33 @@ def test_raise_table_fixes_the_bytes_below_v_and_raises_the_rest():
         assert all(table[b] == b + 1 for b in range(v, 255)), v
 
 
+def test_kept_tables_hold_one_table_per_kept_set_of_a_size():
+    # one table per K in [top] with |K| = size, the one `_kept_table`
+    # caches, ordered by max K: 1..size onto K and size+1..k-1 onto
+    # [k-1] - K, each in increasing order, every other byte fixed.  Size 0
+    # is the identity, which the weighted join reads for L empty, and at
+    # size 1 the descent join reads the table of {g} at g-1
+    for k in range(1, 11):
+        for top in range(k):
+            for size in range(top + 1):
+                tables = lab._kept_tables(k, size, top)
+                kept_sets = [tuple(table[1:size + 1]) for table in tables]
+                assert len(set(kept_sets)) == len(tables) == \
+                    math.comb(top, size), (k, size, top)
+                assert [kept[-1:] for kept in kept_sets] == sorted(
+                    kept[-1:] for kept in kept_sets), (k, size, top)
+                for kept, table in zip(kept_sets, tables):
+                    assert list(kept) == sorted(kept), (k, kept)
+                    assert set(kept) <= set(range(1, top + 1)), (k, kept)
+                    assert list(table[size + 1:k]) == [
+                        v for v in range(1, k) if v not in kept], (k, kept)
+                    assert table[0] == 0 and \
+                        table[k:] == bytes(range(k, 256)), (k, kept)
+                    assert table is lab._kept_table(k, kept), (k, kept)
+                if size == 1:
+                    assert kept_sets == [(g,) for g in range(1, top + 1)]
+
+
 def test_peel_join_skips_the_split_that_repeats_the_last_level():
     # L = [k-1], R empty gives s^t(S_{k-1}) k, which the join starts
     # from, so no level reads the r = 0 union that split would need
@@ -486,6 +513,18 @@ def test_unions_match_nested_insertions():
                 assert len(union) == len(set(union)), (r, p, q)
                 assert {tuple(y) for y in union} == set().union(
                     *_nested_insertions(r, p, q).values()), (r, p, q)
+
+
+def test_unions_start_from_the_held_image_level():
+    # a store holds s(S_r) once: level 0 of the unions holds the images'
+    # own set at rank r+1, whether the unions or the images come first
+    counted = _Store()
+    counted.count(12, 2)  # grows the unions of r = 1..9 before any image
+    assert set(range(1, 10)) <= counted.unions.keys()
+    fresh = _Store()
+    for r in range(10):
+        for store in (counted, fresh):
+            assert store.nested(r, 0)[r + 1] is store.image(r, 1), r
 
 
 def test_unions_sort_each_distinct_element_once(monkeypatch):
