@@ -7,17 +7,25 @@ splits L n R, where a left-to-right maximum empties the stack, from
 levels of smaller sizes.  Permutations are byte-packed, one byte per
 entry.
 
-- Images are sets.  `_peel_join` builds s^t(S_n) for any t >= 1 in one
-  t-fold join: with |L| >= t it peels the top t-1 values off L, so the
-  element is s^t(L) less its last t-1 entries, then one element of a
-  union of nested-insertion tables, then n; all L with |L| < t together
-  give s^t(S_{n-1}) n, and so does L = [n-1], so that split is skipped.
+- Images are joined.  `_split_join` builds s(S_n), the sorted
+  permutations, as a list that forms each element once, from its
+  canonical split: s(L n R) = s(L) s(R) n, and of the L that give one
+  element only the largest is kept, which a threshold statistic phi of
+  the right factor decides.  Each element carries (phi, sigma), which
+  two O(1) rules read off its factors (`_split_pairs`) without forming
+  it, so a t = 1 count sums binomials over the phi of the levels up to
+  n-2 and forms no element above s(S_{n-4}).
+  `_peel_join` builds s^t(S_n) for t >= 2 as a set in one t-fold join:
+  with |L| >= t it peels the top t-1 values off L, so the element is
+  s^t(L) less its last t-1 entries, then one element of a union of
+  nested-insertion tables, then n; all L with |L| < t together give
+  s^t(S_{n-1}) n, and so does L = [n-1], so that split is skipped.
   Both factors depend only on the kept part K of L, so the join forms
   the products of each size of K once and relabels them onto every K
   that reads them in one `set.update`, one `bytes.translate` per
-  product; the cost follows m = n - t.  A count at t <= n-3 joins only
-  the elements of s^t(S_n) and s^t(S_{n-1}) that start with a descent
-  and reads the rest off the first entries of s^t(S_{n-2})
+  product; the cost follows m = n - t.  A count at 2 <= t <= n-3 joins
+  only the elements of s^t(S_n) and s^t(S_{n-1}) that start with a
+  descent and reads the rest off the first entries of s^t(S_{n-2})
   (`_Store.count`), so it holds no level above n-2.
 - Counts are weights.  `count_t_stack_sortable` sums, for t = 1 and
   every t >= 3, only the splits that s^t sends to the identity, by the
@@ -31,8 +39,8 @@ entry.
   of s(beta) (`_Store.cut_counts`) gives it.
 
 Both engines grow the nested insertions one level at a time (`_Store`);
-the image engine's start from the s(S_r) the store already holds, so a
-store holds each s(S_r) once.
+the image engine's start from the list of s(S_r) the store already
+holds, so a store holds each s(S_r) once.
 
 The levels are tiny next to n! (|s(S_9)| = 11033 and |s^2(S_9)| = 1081
 against 362880).  The default bound is n <= 10; 11 and 12 are allowed
@@ -47,24 +55,27 @@ one store across every level and factor they ask for: the outermost of
 them opens it and drops it on return.  Any other call builds its own
 store and drops it on return, so no level and no factor outlives the
 call that asked for it.  The relabel, shift, raise and skip tables
-(`_kept_table`, `_kept_tables`, `_up`, `_raise`, `_skips`) depend only
-on sizes, so they are per-process constants, never levels: at most
-2^(k-1) relabel tables for each size k, which `_kept_tables` groups
-into one tuple per (k, |K|, bound on max K), the only way the set, the
-descent and the weighted joins read them; `_raise(v)` moves the
-entries >= v up by one, for the nested insertions (`_skips`) and the
-avoiders' generating tree alike.  So are the Bell numbers (`bell`).
-The avoiders of the barred pattern are counted and listed by their
-generating tree, so no production path scans S_n.
+(`_kept_table`, `_kept_tables`, `_up`, `_raise`, `_skips`) and the
+split join's (phi, sigma) rows (`_split_stats`) depend only on sizes,
+so they are per-process constants, never levels: at most 2^(k-1) relabel
+tables for each size k, which `_kept_tables` groups into one tuple per
+(k, |K|, bound on max K), the only way the joins read them;
+`_raise(v)` moves the entries >= v up by one, for the nested
+insertions (`_skips`) and the avoiders' generating tree alike.  So are
+the Bell numbers (`bell`).  The avoiders of the barred pattern are
+counted and listed by their generating tree, so no production path
+scans S_n.
 
 Each claim builds its report in one place: `_image_claim` for Theorems
 1 and 2, `_count_claim` for the three counts.  An image claim compares
-the level as the store holds it, a set of packed elements, with a
-packed prediction (`_predicted_image`), and counts that same level.
+the level as the store holds it, a set of packed elements (at t = 1 a
+set of the held list), with a packed prediction (`_predicted_image`),
+and counts that same level.
 """
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import functools
 import itertools
@@ -237,12 +248,100 @@ def _raise(v: int) -> bytes:
     return bytes(range(v)) + _up(1)[v:]
 
 
+@functools.cache
+def _split_stats(k: int, a: int, f: int) -> tuple[tuple[tuple, ...], ...]:
+    """The (phi, sigma) of each element `_split_join` forms at size k from
+    x in s(S_a) and y in s(S_{k-1-a}) with phi(y) = f: at
+    [psi(x)][2 y_1 + sigma(y)], one pair per table of
+    `_kept_tables(k, a, k - 1)` from C(f+a-1, a) on, the K with
+    max K - a >= f, in that order.  Table K maps a to max K, psi to the
+    psi-th smallest value of K and a + y_1 to Y_1; each (phi, sigma)
+    pair is one object, so a level holds no pair of its own."""
+    pairs = [((v, False), (v, True)) for v in range(k)]
+    tables = _kept_tables(k, a, k - 1)[math.comb(f + a - 1, a):]
+    return tuple(
+        tuple(tuple(pairs[tb[y1 + a]][s] if tb[a] - a < y1
+                    else pairs[tb[psi]][s and tb[a] != k - 1]
+                    for tb in tables)
+              for y1 in range(k - a) for s in (False, True))
+        for psi in range(a + 1))
+
+
+def _split_join(store: _Store, k: int) -> list[bytes]:
+    """s(S_k) for k >= 3 as a list, each element formed once;
+    `store.sets[1][j]` and `store.stats[j]` are s(S_j) and the
+    (phi, sigma) of its elements for j <= k-2.
+
+    s(L k R) = s(L) s(R) k, so an element is x (y + a) k relabelled by
+    the table of K = L (`_kept_table`), x in s(S_a) and y in
+    s(S_{k-1-a}), as in `_peel_join`.  Its canonical split is the one
+    with the largest |K| = a in 1..k-2: L empty and L = [k-1] each give
+    s(S_{k-1}) k, whose elements such K form again for k >= 3.  A
+    product is canonical exactly when max K - a >= phi(y), a threshold
+    of the right factor (`_split_pairs`), so the kept tables are a
+    suffix of the max-K-ordered `_kept_tables(k, a, k - 1)`.  So each
+    phi(y) forms the products of all x and those y once and sends them
+    through its suffix of tables in one `list.extend`.  The threshold
+    is checked level by level against `_peel_join` (ROADMAP item 3),
+    not proved.
+    """
+    elements: list[bytes] = []
+    top = bytes([k])
+    for a in range(1, k - 1):
+        up = _up(a)
+        tables = _kept_tables(k, a, k - 1)
+        lefts = store.sets[1][a]
+        rights: dict[int, list[bytes]] = {}
+        for y, (f, _) in zip(store.sets[1][k - 1 - a], store.stats[k - 1 - a]):
+            rights.setdefault(f, []).append(y.translate(up) + top)
+        for f, ys in rights.items():
+            elements.extend(itertools.starmap(
+                bytes.translate, itertools.product(
+                    [x + y for x in lefts for y in ys],
+                    tables[math.comb(f + a - 1, a):])))
+    return elements
+
+
+def _split_pairs(store: _Store, k: int) -> list[tuple]:
+    """The (phi, sigma) of each element of s(S_k), k >= 3, in the order
+    `_split_join` forms them, from the same levels up to k-2; no element
+    of s(S_k) is formed.
+
+    phi(y) is the threshold of `_split_join`, and sigma(y) says that y
+    less its last entry lies in s(S_{|y|-1}).  Both follow from the
+    factors of the canonical split, with Y_1 the first entry of y
+    relabelled and psi(x) = a if sigma(x), else phi(x):
+
+        phi = Y_1 if Y_1 > max K, else the psi(x)-th smallest value of K;
+        sigma = sigma(y) and max K != k-1;
+
+    from 1 -> (0, true) and 1 2 -> (1, true).  The rules are checked
+    level by level against the definitions (ROADMAP item 3), not proved.
+    The pairs of each phi(y) depend only on sizes, psi(x), y_1 and
+    sigma(y) (`_split_stats`), so they are read, not computed, in one
+    `list.extend`.
+    """
+    stats: list[tuple] = []
+    for a in range(1, k - 1):
+        psis = [a if s else f for f, s in store.stats[a]]
+        rights: dict[int, list[int]] = {}
+        for y, (f, s) in zip(store.sets[1][k - 1 - a], store.stats[k - 1 - a]):
+            rights.setdefault(f, []).append(2 * y[0] + s)
+        for f, codes in rights.items():
+            rows = _split_stats(k, a, f)
+            stats.extend(itertools.chain.from_iterable(
+                [rows[psi][c] for psi in psis for c in codes]))
+    return stats
+
+
 def _peel_join(store: _Store, k: int, t: int,
                descents: bool = False) -> set[bytes]:
-    """s^t(S_k) for t >= 1 as a set, joined over the kept sets K of the
+    """s^t(S_k) for t >= 2 as a set, joined over the kept sets K of the
     left value sets L of L k R; `store.sets[t][j]` is s^t(S_j) for j < k.
     With `descents` (k >= 3), only the elements that start with a
-    descent (`_Store.count`).
+    descent (`_Store.count`).  At t = 1 it forms s(S_k) too, with
+    repeats; the tests compare `_split_join` with it, and no production
+    path calls it so.
 
     With p = t-1 and v_1 > ... > v_p the top p values of L, once |L| >= t
     the last p entries of s^t(L) are v_p ... v_1, and a left-to-right
@@ -401,12 +500,17 @@ class _Store:
     has the last rank r+1.  Level p of the nested insertions into s(S_r)
     is a list indexed by last rank w = 0..r+1, grown from level p-1 and
     starting from s(S_r) alone at w = r+1.  Images: `sets[t][k]` is
-    s^t(S_k), grown one size at a time by `_peel_join`; `unions[r][p]`,
-    grown by `_nest`, holds at w every element whose largest last rank
-    over the T(r, ranks) with p ranks is w, and level 0 holds the set
+    s^t(S_k), grown one size at a time: for t >= 2 a set, by
+    `_peel_join`; for t = 1 the list `_split_join` forms, from s(S_0),
+    s(S_1) and s(S_2) held from the start, and `stats[k]` holds each
+    element's (phi, sigma) at the same index, grown apart from it, so a
+    count holds the pairs of two levels past their elements and an image
+    the elements of two levels past their pairs; `unions[r][p]`, grown by
+    `_nest`, holds at w every element whose largest last rank over the
+    T(r, ranks) with p ranks is w, and level 0 holds the list
     `sets[1][r]` itself, so the store holds s(S_r) once for the images,
-    the unions and every image count at t >= 2; `avoiding[k]` lists the
-    avoiders of the barred pattern in S_k (`avoiders`).  Counts:
+    the unions and every image count; `avoiding[k]` lists the avoiders
+    of the barred pattern in S_k (`avoiders`).  Counts:
     `levels[k]` is s(S_k) with preimage weights, grown by `_join`;
     `weights[r][p]`, grown by `_weigh`, maps at w each element to its
     number of pairs (ranks, R) with last rank w; `depths` maps each
@@ -420,7 +524,10 @@ class _Store:
     """
 
     def __init__(self) -> None:
-        self.sets: dict[int, list[set[bytes]]] = {}
+        self.sets: dict[int, list[Collection[bytes]]] = {
+            1: [[b""], [b"\x01"], [b"\x01\x02"]]}
+        # the empty permutation's pair is never read
+        self.stats: list[list[tuple]] = [[(0, True)], [(0, True)], [(1, True)]]
         self.unions: dict[int, list[list[Collection[bytes]]]] = {}
         self.levels: list[dict[bytes, int]] = [{b"": 1}]
         self.weights: dict[int, list[list[dict[bytes, int]]]] = {}
@@ -435,26 +542,61 @@ class _Store:
 
     def image(self, n: int, t: int) -> set[bytes]:
         """s^t(S_n) for t >= 1.  Past t = n-1 every image is the identity
-        alone, so t is clamped there and no level is built past it."""
+        alone, so t is clamped there and no level is built past it.  At
+        t = 1 it is a new set of the held list (`sorted_level`)."""
         t = min(t, max(n - 1, 1))
+        if t == 1:
+            return set(self.sorted_level(n))
         levels = self.sets.setdefault(t, [{b""}])
         while len(levels) <= n:
             levels.append(_peel_join(self, len(levels), t))
         return levels[n]
 
+    def sorted_level(self, k: int) -> list[bytes]:
+        """s(S_k) as the list `_split_join` forms, grown one size at a
+        time."""
+        levels = self.sets[1]
+        while len(levels) <= k:
+            self.sorted_stats(len(levels) - 2)
+            levels.append(_split_join(self, len(levels)))
+        return levels[k]
+
+    def sorted_stats(self, k: int) -> list[tuple]:
+        """The (phi, sigma) of each element of s(S_k), at its index in
+        `sorted_level(k)`, grown one size at a time."""
+        stats = self.stats
+        while len(stats) <= k:
+            self.sorted_level(len(stats) - 2)
+            stats.append(_split_pairs(self, len(stats)))
+        return stats[k]
+
     def count(self, n: int, t: int) -> int:
         """|s^t(S_n)| for t >= 1.  A held level, and every t >= n-2, is the
-        length of the full level (`image`); any other count holds no level
-        above n-2.
+        length of the full level; any other count holds no level above
+        n-2.
 
-        For n >= 2 the elements of s^t(S_n) that start with an ascent are
-        exactly g (+) q for q in s^t(S_{n-1}) and 1 <= g <= q_1, where
-        g (+) q is g followed by q with its entries >= g raised by one.
-        So the count is |D_n| + the sum of q_1 over s^t(S_{n-1}), where
-        D_n, the elements that start with a descent, is all `_peel_join`
-        forms.  Once more at n-1 (t <= n-3), the q that start with an
-        ascent are g (+) y for y in s^t(S_{n-2}) and g <= y_1, whose
-        first entries sum to y_1 (y_1 + 1) / 2, so
+        At t = 1 the count reads the pairs of the levels up to n-2 only.
+        `_split_join` forms each element of s(S_n) once, from x in
+        s(S_a), y in s(S_{n-1-a}) and each K with |K| = a and
+        max K - a >= phi(y), 1 <= a <= n-2, and C(q+a-1, a-1) kept sets
+        K have max K - a = q, so, summing over q <= n-1-a,
+
+            |s(S_n)| = sum over a of |s(S_a)| times the sum over y of
+                       C(n-1, a) - C(phi(y)+a-1, a),
+
+        which reads only the phi of each level.  The pairs of a level
+        read the elements two sizes below it, so the count forms no
+        element above s(S_{n-4}).  Like the rules it rests on, this is
+        checked, not proved.
+
+        For t >= 2 and n >= 2 the elements of s^t(S_n) that start with an
+        ascent are exactly g (+) q for q in s^t(S_{n-1}) and
+        1 <= g <= q_1, where g (+) q is g followed by q with its entries
+        >= g raised by one.  So the count is |D_n| + the sum of q_1 over
+        s^t(S_{n-1}), where D_n, the elements that start with a descent,
+        is all `_peel_join` forms.  Once more at n-1 (t <= n-3), the q
+        that start with an ascent are g (+) y for y in s^t(S_{n-2}) and
+        g <= y_1, whose first entries sum to y_1 (y_1 + 1) / 2, so
 
             |s^t(S_n)| = |D_n| + sum of x_1 over D_{n-1}
                          + sum of y_1 (y_1 + 1) / 2 over s^t(S_{n-2}),
@@ -472,6 +614,16 @@ class _Store:
         sigma_1 is T n, the image of (L - {sigma_1}) n R, since
         |L| - 1 = p < t.  The converse inserts g into L the same way.
         """
+        if t == 1:
+            held = max(self.sets[1], self.stats, key=len)
+            if len(held) > n:
+                return len(held[n])
+            self.sorted_stats(n - 2)
+            phis = [collections.Counter(f for f, _ in stats)
+                    for stats in self.stats[:n - 1]]
+            return sum(len(self.stats[a]) * sum(
+                m * (math.comb(n - 1, a) - math.comb(f + a - 1, a))
+                for f, m in phis[n - 1 - a].items()) for a in range(1, n - 1))
         if t >= n - 2 or len(self.sets.get(t, ())) > n:
             return len(self.image(n, t))
         # every k-th byte of length-k elements, joined, is a first entry
@@ -491,7 +643,7 @@ class _Store:
         """Level p of `unions[r]`, grown once from the one below it."""
         levels = self.unions.get(r)
         if levels is None:
-            levels = self.unions[r] = [[[]] * (r + 1) + [self.image(r, 1)]]
+            levels = self.unions[r] = [[[]] * (r + 1) + [self.sorted_level(r)]]
         while len(levels) <= p:
             levels.append(_nest(levels[-1]))
         return levels[p]
@@ -651,8 +803,9 @@ def image_of_iterate(
 ) -> ImageReport:
     """Exact image of the t-fold sorting map over all n! permutations.
 
-    s^t(S_n) is a set joined from the smaller images of the same t
-    (`_peel_join`) in the calling process; no preimage weight is formed.
+    s^t(S_n) is joined from the smaller images of the same t
+    (`_split_join` at t = 1, else `_peel_join`) in the calling process;
+    no preimage weight is formed.
     Without `keep_elements` s^t(S_n) is counted, not held
     (`_Store.count`).  Past t = n-1 the image is the identity alone.
     Keeping more than `KEEP_ALL_MAX_N`! elements is refused, whatever
@@ -733,11 +886,12 @@ def characterize_membership_rule(
             f"membership for n = {n}, t = {t} is outside the characterized "
             f"regimes and over the enumeration bound: undecidable at this "
             f"scale")
-    # the image stays in the scope's store, so membership reads its set
-    # instead of a copy of every element as a tuple; built first, the
-    # report counts the held level.  The report is discarded, yet the call
-    # stays: the traced perm-queries run checks `lab.perms_scanned`, to
-    # which the tracer adds n! per `image_of_iterate` call;
+    # the image stays in the scope's store, so membership reads a set of
+    # packed elements (at t = 1 one made from the held list) instead of a
+    # copy of every element as a tuple; built first, the report counts
+    # the held level.  The report is discarded, yet the call stays: the
+    # traced perm-queries run checks `lab.perms_scanned`, to which the
+    # tracer adds n! per `image_of_iterate` call;
     # `test_characterize_fallback_keeps_no_elements` pins it; and ROADMAP
     # item 1 removes it together with `shards`
     with _sharing_levels():
@@ -770,8 +924,9 @@ def _image_claim(claim: str, m: int, n: int, expected: int,
 
     The checks read the level as the store holds it, a set of packed
     elements, and the report counts that same level, so nothing is
-    copied or built twice.  No store holds the 0-fold image, all of S_n,
-    so it alone comes from the report's elements."""
+    built twice; at t = 1 they read a set of the held list.  No store
+    holds the 0-fold image, all of S_n, so it alone comes from the
+    report's elements."""
     t = n - m
     with _sharing_levels():
         if t:

@@ -222,6 +222,8 @@ def test_verify_all_builds_each_level_once(monkeypatch):
     joins = _count_calls(monkeypatch, "_join")
     builds = _count_weighted_builds(monkeypatch)
     set_joins = _count_calls(monkeypatch, "_peel_join")
+    splits = _count_calls(monkeypatch, "_split_join")
+    pairs = _count_calls(monkeypatch, "_split_pairs")
     sorts = _count_calls(monkeypatch, "_stack_pass")
     insertions = _count_calls(monkeypatch, "_put_below")
     assert all(r.passed for r in verify_all(8))
@@ -232,11 +234,16 @@ def test_verify_all_builds_each_level_once(monkeypatch):
     assert len(sorts) == len(insertions)
     # the eight catalan claims read one row W_1 and grow each entry once
     assert grown == list(range(1, 9))
-    # the images build each set level s^t(S_k) once, up to the largest n
-    # asked with that t: s(S_5) for theorem2 at m = 4, s^2(S_7) at m = 5,
-    # and n = 8 for every t >= 3 (t >= 8 is clamped to 7)
+    # the images build each level s^t(S_k) once, up to the largest n
+    # asked with that t: s(S_5) for theorem2 at m = 4, each from the
+    # split join past the held s(S_0), s(S_1) and s(S_2), with the pairs
+    # of s(S_3) alone, the only level above s(S_2) that a join of s(S_5)
+    # reads; s^2(S_7) at m = 5, and n = 8 for every t >= 3 (t >= 8 is
+    # clamped to 7), each from the peel join, which no image asks at t = 1
+    assert sorted(k for _, k in splits) == [3, 4, 5]
+    assert [k for _, k in pairs] == [3]
     assert sorted((k, t) for _, k, t in set_joins) == sorted(
-        [(k, 1) for k in range(1, 6)] + [(k, 2) for k in range(1, 8)]
+        [(k, 2) for k in range(1, 8)]
         + [(k, t) for t in range(3, 8) for k in range(1, 9)])
 
 
@@ -285,12 +292,13 @@ def test_relabel_tables_are_built_once_per_process(monkeypatch):
     # cached table is cleared, since a warm one skips the calls it makes
     # to the others
     cached = (lab._kept_table, lab._kept_tables, lab._up, lab._raise,
-              lab._skips)
+              lab._skips, lab._split_stats)
     for table in cached:
         table.cache_clear()
 
     def built():
         image_of_iterate(9, 4)
+        image_of_iterate(9, 1)
         count_t_stack_sortable(8, 2)
         return [table.cache_info().misses for table in cached]
     first = built()
@@ -426,7 +434,8 @@ def test_first_entry_deletions_are_one_size_less_with_initial_segments():
 
 
 def test_ascent_starts_are_one_size_less_with_a_smaller_first_entry():
-    # the identity `_Store.count` rests on: for t >= 1 and n >= 3 the
+    # the identity `_Store.count` rests on at t >= 2, and which holds at
+    # t = 1 as well: for t >= 1 and n >= 3 the
     # elements of s^t(S_n) that start with an ascent are g (+) q for q in
     # s^t(S_{n-1}) and 1 <= g <= q_1: g, then q with its entries >= g
     # raised by one
@@ -479,14 +488,142 @@ def test_a_count_never_holds_its_top_level(monkeypatch):
         joins = _count_calls(monkeypatch, "_peel_join")
         assert image_of_iterate(9, 2).count == 1081
         assert joins == []
-    # at n = 9 every t <= 6 holds s^t(S_0) .. s^t(S_7); t = 7 = n-2 reads
-    # the full level, which holds the two elements of s^7(S_9)
+    # at n = 9 every t <= 6 holds s^t(S_0) .. s^t(S_7), at t = 1 only
+    # the (phi, sigma) of their elements, and the elements themselves up
+    # to s(S_5); t = 7 = n-2 reads the full level, which holds the two
+    # elements of s^7(S_9)
     store = _Store()
     for t in range(1, 7):
         store.count(9, t)
-        assert len(store.sets[t]) == 8, t
+        assert len(store.sets[t]) == (6 if t == 1 else 8), t
+    assert len(store.stats) == 8
     assert store.count(9, 7) == 2
     assert len(store.sets[7]) == 10 and len(store.sets[7][9]) == 2
+
+
+SORTED_SIZES = [1, 1, 1, 2, 5, 17, 68, 326, 1780, 11033, 76028, 578290,
+                4803696]  # |s(S_n)| for n = 0..12
+
+
+def _standardized(x: bytes) -> bytes:
+    ranks = sorted(x)
+    return bytes(ranks.index(v) + 1 for v in x)
+
+
+def test_split_join_forms_each_sorted_permutation_once():
+    # the split join's list holds every product it forms, so a product
+    # formed twice would show as a repeat; each level equals the peel
+    # join's set over the same lower levels, and that set's size
+    store = _Store()
+    for r in range(11):
+        level = store.sorted_level(r)
+        assert len(level) == len(set(level)) == SORTED_SIZES[r], r
+        assert len(store.sorted_stats(r)) == len(level), r
+        if r:
+            assert set(level) == lab._peel_join(store, r, 1), r
+    for r in range(9):
+        assert {tuple(x) for x in _Store().sorted_level(r)} == \
+            _brute_image(r, 1), r
+
+
+def test_split_statistics_match_their_definitions():
+    # ROADMAP items 3 and 12: the (phi, sigma) the join carries for each
+    # element z of s(S_r), r >= 1, are sigma: z less its last entry lies
+    # in s(S_{r-1}); phi: the largest z_c, c < r, that is a left-to-right
+    # maximum with std(z_1..z_{c-1}) in s(S_{c-1}) and std(z_{c+1}..z_r)
+    # in s(S_{r-c}), else 0
+    store = _Store()
+    held = [set(store.sorted_level(r)) for r in range(10)]
+    store.sorted_stats(9)
+    checked = 0
+    for r in range(1, 10):
+        for z, (phi, sigma) in zip(store.sets[1][r], store.stats[r]):
+            assert sigma == (z[:-1] in held[r - 1]), z
+            assert phi == max(
+                (z[c] for c in range(r - 1) if z[c] == max(z[:c + 1])
+                 and _standardized(z[:c]) in held[c]
+                 and _standardized(z[c + 1:]) in held[r - 1 - c]),
+                default=0), z
+            checked += 1
+    assert checked == sum(SORTED_SIZES[1:10])
+
+
+def test_canonical_splits_are_a_threshold_in_max_kept():
+    # ROADMAP item 12: among the products x (y + |K|) k of the peel join
+    # at t = 1, K = L in [k-1] and |K| <= k-2, relabelled by K, the one
+    # that forms an element with the largest |K| is the one with
+    # max K - |K| >= phi(y); no product with K empty is one
+    store = _Store()
+    for k in range(3, 10):
+        store.sorted_level(k - 1)
+        store.sorted_stats(k - 1)
+        top = bytes([k])
+        products = []
+        for a in range(k - 1):
+            r = k - 1 - a
+            for kept in itertools.combinations(range(1, k), a):
+                table = lab._kept_table(k, kept)
+                for y, (phi, _) in zip(store.sets[1][r], store.stats[r]):
+                    y = y.translate(lab._up(a)) + top
+                    for x in store.sets[1][a]:
+                        z = (x + y).translate(table)
+                        products.append((z, a, kept[-1:], phi))
+        largest = {}
+        for z, a, _, _ in products:
+            largest[z] = max(largest.get(z, 0), a)
+        assert largest.keys() == lab._peel_join(store, k, 1), k
+        for z, a, kept_max, phi in products:
+            if a:
+                assert (a == largest[z]) == (kept_max[0] - a >= phi), (k, z)
+            else:
+                assert largest[z], (k, z)
+
+
+def test_sorted_counts_read_no_level_above_n_minus_two(monkeypatch):
+    # every t = 1 count the cap allows, from fresh stores, from one store
+    # asked in ascending n and from one asked in descending n; a count on
+    # a fresh store reads the pairs of s(S_r) up to n-2, and forms the
+    # elements only up to n-4, which those pairs read.  Past the cap,
+    # |s(S_13)| is the value two engines agree on (ROADMAP item 2)
+    assert [image_of_iterate(n, 1, max_n=12).count for n in range(13)] == \
+        SORTED_SIZES
+    assert _Store().count(13, 1) == 43297358
+    splits = _count_calls(monkeypatch, "_split_join")
+    pairs = _count_calls(monkeypatch, "_split_pairs")
+    for n in range(13):
+        splits.clear()
+        pairs.clear()
+        store = _Store()
+        assert store.count(n, 1) == SORTED_SIZES[n], n
+        assert sorted(k for _, k in splits) == list(range(3, n - 3)), n
+        assert sorted(k for _, k in pairs) == list(range(3, n - 1)), n
+        assert len(store.sets[1]) == max(n - 3, 3), n
+        assert len(store.stats) == max(n - 1, 3), n
+    for order in (range(12), range(11, -1, -1)):
+        store = _Store()
+        for n in order:
+            assert store.count(n, 1) == len(store.sorted_level(n)) == \
+                SORTED_SIZES[n], n
+
+
+def test_no_image_or_count_peels_at_t_one(monkeypatch):
+    # one engine for t = 1: the images, counts and claims reach s(S_k)
+    # through the split join alone, and a kept image past the budget
+    # decides from that count, with no descent join
+    joins = _count_calls(monkeypatch, "_peel_join")
+    report = image_of_iterate(10, 1, keep_elements=True, max_n=10)
+    assert report.count == len(report.elements) == 76028
+    assert joins == []
+    for n in range(10):
+        for t in range(1, n + 2):
+            image_of_iterate(n, t)
+            image_of_iterate(n, t, keep_elements=True)
+    assert all(report.passed for report in verify_all(8))
+    image = _brute_image(6, 1)
+    for p in itertools.islice(perms(6), 0, 720, 7):
+        assert characterize_membership_rule(p, 1) == (
+            p in image, "oracle-fallback"), p
+    assert joins and all(t >= 2 for _, _, t, *_ in joins)
 
 
 def _nested_insertions(r, p, q):
@@ -516,15 +653,20 @@ def test_unions_match_nested_insertions():
 
 
 def test_unions_start_from_the_held_image_level():
-    # a store holds s(S_r) once: level 0 of the unions holds the images'
-    # own set at rank r+1, whether the unions or the images come first
+    # a store holds s(S_r) once: level 0 of the unions holds at rank r+1
+    # the list the split join formed, which the images read, whether the
+    # unions or the images come first
     counted = _Store()
     counted.count(12, 2)  # grows the unions of r = 1..9 before any image
     assert set(range(1, 10)) <= counted.unions.keys()
     fresh = _Store()
+    imaged = _Store()
+    imaged.image(9, 1)
     for r in range(10):
-        for store in (counted, fresh):
-            assert store.nested(r, 0)[r + 1] is store.image(r, 1), r
+        for store in (counted, fresh, imaged):
+            held = store.nested(r, 0)[r + 1]
+            assert held is store.sorted_level(r) is store.sets[1][r], r
+            assert store.image(r, 1) == set(held), r
 
 
 def test_unions_sort_each_distinct_element_once(monkeypatch):
@@ -966,6 +1108,8 @@ def _fail_on_any_level(monkeypatch) -> None:
         raise AssertionError("the count built a level")
     monkeypatch.setattr(lab, "_join", failing)
     monkeypatch.setattr(lab, "_peel_join", failing)
+    monkeypatch.setattr(lab, "_split_join", failing)
+    monkeypatch.setattr(lab, "_split_pairs", failing)
     monkeypatch.setattr(_Store, "weighted", failing)
 
 
