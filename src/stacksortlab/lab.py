@@ -18,15 +18,16 @@ entry.
   `_peel_join` builds s^t(S_n) for t >= 2 as a set in one t-fold join:
   with |L| >= t it peels the top t-1 values off L, so the element is
   s^t(L) less its last t-1 entries, then one element of a union of
-  nested-insertion tables, then n; all L with |L| < t together give
-  s^t(S_{n-1}) n, and so does L = [n-1], so that split is skipped.
-  Both factors depend only on the kept part K of L, so the join forms
-  the products of each size of K once and relabels them onto every K
-  that reads them in one `set.update`, one `bytes.translate` per
-  product; the cost follows m = n - t.  A count at 2 <= t <= n-3 joins
-  only the elements of s^t(S_n) and s^t(S_{n-1}) that start with a
-  descent and reads the rest off the first entries of s^t(S_{n-2})
-  (`_Store.count`), so it holds no level above n-2.
+  nested-insertion tables, then n.  The L with |L| < t, and L = [n-1],
+  give s^t(S_{n-1}) n, whose elements the other splits form again for
+  n >= t+2 (checked, not proved), so the join skips them and reads no
+  level above n-2.  Both factors depend only on the kept part K of L,
+  so the join forms the products of each size of K once and relabels
+  them onto every K that reads them in one `set.update`, one
+  `bytes.translate` per product; the cost follows m = n - t.  A count
+  at t >= 2 joins only the elements of s^t(S_n) and s^t(S_{n-1}) that
+  start with a descent and reads the rest off the first entries of
+  s^t(S_{n-2}) (`_Store.count`), so it holds no level above n-2.
 - Counts are weights.  `count_t_stack_sortable` sums, for t = 1 and
   every t >= 3, only the splits that s^t sends to the identity, by the
   same peel, so s^t(S_n) is never built; each t keeps one row of these
@@ -336,19 +337,20 @@ def _split_pairs(store: _Store, k: int) -> list[tuple]:
 
 def _peel_join(store: _Store, k: int, t: int,
                descents: bool = False) -> set[bytes]:
-    """s^t(S_k) for t >= 2 as a set, joined over the kept sets K of the
-    left value sets L of L k R; `store.sets[t][j]` is s^t(S_j) for j < k.
-    With `descents` (k >= 3), only the elements that start with a
-    descent (`_Store.count`).  At t = 1 it forms s(S_k) too, with
-    repeats; the tests compare `_split_join` with it, and no production
-    path calls it so.
+    """s^t(S_k) for t >= 1 as a set, joined over the kept sets K of the
+    left value sets L of L k R; `store.sets[t][j]` is s^t(S_j) for
+    t+1 <= j <= k-2, and no other level is read.  With `descents`, only
+    the elements that start with a descent (`_Store.count`).  At t = 1
+    it forms s(S_k) too, with repeats; the tests compare `_split_join`
+    with it, and no production path calls it so.
 
     With p = t-1 and v_1 > ... > v_p the top p values of L, once |L| >= t
     the last p entries of s^t(L) are v_p ... v_1, and a left-to-right
     maximum empties the stack, so s^t(L k R) = strip_p(s^t(L)) T k with
     T = s(v_p ... s(v_1 s(R))).  The kept set K = L less its top p values
     fixes both factors' value sets: the first is s^t(S_|L|) less its last
-    p entries, relabelled onto K; the second is the union U(r, p, q) of
+    p entries, relabelled onto K, which for |K| = 1 is 1 alone, since
+    s^t(S_t) is the identity; the second is the union U(r, p, q) of
     the lists of `store.nested(r, p)` above last rank q, relabelled onto
     the rest of [k-1], with r = |R| and q = max K - |K| the values of the
     rest below max K, which no v may take.  So the join loops over K, not
@@ -358,25 +360,30 @@ def _peel_join(store: _Store, k: int, t: int,
     factor.  The block of rank w lies in U(r, p, q) for every q < w, that
     is for every K with max K <= w + |K| - 1, so each block goes through
     the tables of all those K (`_kept_tables`) in one `set.update`; an
-    empty rank list is skipped.  Every L with |L| < t together gives
-    s^t(S_{k-1}) k, which the store already holds, and so does L = [k-1]
-    (K = [k-1-p], r = 0), so the join skips that K.
+    empty rank list is skipped.
+
+    Every L with |L| < t together gives s^t(S_{k-1}) k, and so does
+    L = [k-1] (K = [k-1-p], r = 0); the join forms neither.  For
+    k <= t+1 that leaves no K, and the level is the identity alone.
+    For k >= t+2 the K with 1 <= |K| <= k-1-t form every element of
+    s^t(S_{k-1}) k again, so the join reads no level above k-2.  That
+    is checked for k <= 12 (k <= 10 at t = 1; ROADMAP item 12), not
+    proved: s^t(sigma) less its maximum need not be s^t of sigma less
+    it (s(231) = 213, s(21) = 12).
 
     Relabelling onto K keeps order, so a product starts with a descent
-    when its left factor does, or, for K = {g}, when y_1 < g.  So with
-    `descents` each size's lefts are filtered once, and each size-1 block
-    is filtered down g = w, ..., 1, one table per g; a full level runs
-    none of these filters.  Nor does `descents` form s^t(S_{k-1}) k:
-    appending a maximum to R commutes with every pass, so each of its
-    elements that starts with a descent is formed again by some K with
-    |K| >= 1.
+    when its left factor does, or, for K = {g}, when g > y_1.  So with
+    `descents` each size's lefts are filtered once, and the size-1
+    products of each y_1 go through the tables of the g > y_1 alone, a
+    suffix of their tuple, as in `_split_join`; a full level runs
+    neither filter.
     """
     p = t - 1
-    levels = store.sets[t]
     top = bytes([k])
-    out = set() if descents else {x + top for x in levels[k - 1]}
+    out = set() if descents or k > t + 1 else {bytes(range(1, k + 1))}
     for size in range(1, k - p - 1):
-        lefts = [x[:size] for x in levels[size + p]]  # drops v_p ... v_1
+        lefts = ([x[:size] for x in store.sets[t][size + p]] if size > 1
+                 else [b"\x01"])  # drops v_p ... v_1
         if descents and size > 1:
             lefts = [x for x in lefts if x[0] > x[1]]
         up = _up(size)
@@ -384,18 +391,16 @@ def _peel_join(store: _Store, k: int, t: int,
             if not ys:
                 continue
             rights = [y.translate(up) + top for y in ys]
-            block = [x + y for x in lefts for y in rights]
-            kept = _kept_tables(k, size, w + size - 1)
-            if descents and size == 1:  # K = {g}: byte 1 is y_1 + 1
-                for g in range(w, 0, -1):
-                    block = [x for x in block if x[1] <= g]
-                    if not block:
-                        break
-                    out.update(map(bytes.translate, block,
-                                   itertools.repeat(kept[g - 1])))
+            blocks: dict[int, list[bytes]] = {}
+            if descents and size == 1:  # byte 0 of a right is y_1 + 1
+                for y in rights:
+                    blocks.setdefault(y[0] - 1, []).append(b"\x01" + y)
             else:
+                blocks[0] = [x + y for x in lefts for y in rights]
+            kept = _kept_tables(k, size, w + size - 1)
+            for y1, block in blocks.items():
                 out.update(itertools.starmap(
-                    bytes.translate, itertools.product(block, kept)))
+                    bytes.translate, itertools.product(block, kept[y1:])))
     return out
 
 
@@ -501,8 +506,9 @@ class _Store:
     is a list indexed by last rank w = 0..r+1, grown from level p-1 and
     starting from s(S_r) alone at w = r+1.  Images: `sets[t][k]` is
     s^t(S_k), grown one size at a time: for t >= 2 a set, by
-    `_peel_join`; for t = 1 the list `_split_join` forms, from s(S_0),
-    s(S_1) and s(S_2) held from the start, and `stats[k]` holds each
+    `_peel_join` from the levels up to k-2; for t = 1 the list
+    `_split_join` forms, from s(S_0), s(S_1) and s(S_2) held from the
+    start, and `stats[k]` holds each
     element's (phi, sigma) at the same index, grown apart from it, so a
     count holds the pairs of two levels past their elements and an image
     the elements of two levels past their pairs; `unions[r][p]`, grown by
@@ -571,7 +577,7 @@ class _Store:
         return stats[k]
 
     def count(self, n: int, t: int) -> int:
-        """|s^t(S_n)| for t >= 1.  A held level, and every t >= n-2, is the
+        """|s^t(S_n)| for t >= 1.  A held level, and any n <= 2, is the
         length of the full level; any other count holds no level above
         n-2.
 
@@ -594,16 +600,16 @@ class _Store:
         1 <= g <= q_1, where g (+) q is g followed by q with its entries
         >= g raised by one.  So the count is |D_n| + the sum of q_1 over
         s^t(S_{n-1}), where D_n, the elements that start with a descent,
-        is all `_peel_join` forms.  Once more at n-1 (t <= n-3), the q
+        is all `_peel_join` forms.  Once more at n-1 (n >= 3), the q
         that start with an ascent are g (+) y for y in s^t(S_{n-2}) and
         g <= y_1, whose first entries sum to y_1 (y_1 + 1) / 2, so
 
             |s^t(S_n)| = |D_n| + sum of x_1 over D_{n-1}
                          + sum of y_1 (y_1 + 1) / 2 over s^t(S_{n-2}),
 
-        and `_peel_join` at n and n-1 reads levels up to n-2 only.  At
-        t = n-2 the identity does not apply at n-1, and `image(n-2, t)`
-        clamps t, so its levels are not the ones `_peel_join` reads.
+        and `_peel_join` at n and n-1 reads levels up to n-2 only.  For
+        t >= n-2 every kept set it joins has size 1, whose left factor is
+        1 alone, so it reads no level and `image(n-2, t)` may clamp t.
 
         By induction on n, over sigma = s^t(L n R) with p and K as in
         `_peel_join`.  If |L| < t, sigma = x n with x in s^t(S_{n-1}), and
@@ -624,7 +630,7 @@ class _Store:
             return sum(len(self.stats[a]) * sum(
                 m * (math.comb(n - 1, a) - math.comb(f + a - 1, a))
                 for f, m in phis[n - 1 - a].items()) for a in range(1, n - 1))
-        if t >= n - 2 or len(self.sets.get(t, ())) > n:
+        if n < 3 or len(self.sets.get(t, ())) > n:
             return len(self.image(n, t))
         # every k-th byte of length-k elements, joined, is a first entry
         firsts = b"".join(self.image(n - 2, t))[::n - 2]

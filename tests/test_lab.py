@@ -352,8 +352,8 @@ def test_kept_tables_hold_one_table_per_kept_set_of_a_size():
 
 
 def test_peel_join_skips_the_split_that_repeats_the_last_level():
-    # L = [k-1], R empty gives s^t(S_{k-1}) k, which the join starts
-    # from, so no level reads the r = 0 union that split would need
+    # L = [k-1], R empty gives s^t(S_{k-1}) k, which other kept sets form
+    # again, so no level reads the r = 0 union that split would need
     with _sharing_levels():
         for t in range(1, 8):
             lab._store().image(8, t)
@@ -393,8 +393,9 @@ def test_middle_windows_within_the_cap():
 
 
 def test_images_nest_as_n_grows():
-    # s(sigma) less its largest entry is s of sigma less it, so for fixed
-    # m = n - t the image at n+1 less n+1 lies inside the image at n
+    # one pass puts n+1 last, where every later pass leaves it, so for
+    # fixed m = n - t the image at n+1 less n+1 lies inside the image at
+    # n (s(sigma) less n+1 need not be s of sigma less it: s(231) = 213)
     with _sharing_levels():
         for m in range(1, 8):
             for n in range(m + 1, 12):
@@ -479,6 +480,74 @@ def test_descent_joins_form_no_top_products():
             assert lab._peel_join(store, n, t, True) == descents, (n, t)
 
 
+def test_peel_join_needs_no_level_above_k_minus_two():
+    # ROADMAP item 12: the splits with |L| < t and L = [k-1] give
+    # s^t(S_{k-1}) k, and for k >= t+2 the kept sets K with |K| >= 1 form
+    # each of its elements again.  So the full join over a store that
+    # holds no level above k-2 has the size of the count, which comes from
+    # the descent join (at t = 1 from the split count); every product is
+    # an element of s^t(S_k), so equal sizes mean equal sets
+    for t in range(1, 11):
+        store = _Store()
+        for k in range(t + 2, 11 if t == 1 else 13):
+            store.image(k - 2, t)
+            assert len(lab._peel_join(store, k, t)) == \
+                _Store().count(k, t), (k, t)
+    # for k <= t+1 the level is the identity alone, read off no level
+    store = _Store()
+    for t in range(1, 8):
+        for k in range(t + 2):
+            assert lab._peel_join(store, k, t) == \
+                {bytes(range(1, k + 1))}, (k, t)
+            assert lab._peel_join(store, k, t, True) == set(), (k, t)
+    assert store.sets.keys() == {1} and store.unions == {}
+
+
+def _peel_products(store, k, t):
+    """Every product of `_peel_join` at (k, t), t >= 2, as (element, |K|,
+    q, y): K in [k-1] with 1 <= |K| <= k-1-t, q = max K - |K|, x in
+    s^t(S_{|K|+t-1}) less its last t-1 entries, and y of last rank w > q
+    in level t-1 of the nested insertions."""
+    p = t - 1
+    top = bytes([k])
+    for size in range(1, k - p - 1):
+        lefts = [x[:size] for x in store.image(size + p, t)]
+        ranks = store.nested(k - 1 - size - p, p)
+        for kept in itertools.combinations(range(1, k), size):
+            table = lab._kept_table(k, kept)
+            q = kept[-1] - size
+            for w in range(q + 1, len(ranks)):
+                for y in ranks[w]:
+                    right = y.translate(lab._up(size)) + top
+                    for x in lefts:
+                        yield (x + right).translate(table), size, q, y
+
+
+def test_canonical_splits_past_one_pass_are_a_threshold_in_max_kept():
+    # ROADMAP items 3 and 12: call a product of the peel join at t >= 2
+    # canonical when no larger |K| forms its element.  Canonical-ness
+    # depends on (|K|, y, q) alone, not on the left factor, and it is
+    # the threshold q >= phi(y), with one phi(y) for every |K|
+    for t in (2, 3, 4):
+        store = _Store()
+        canonical = {}
+        for k in range(t + 2, 11):
+            products = list(_peel_products(store, k, t))
+            largest = {}
+            for z, size, _, _ in products:
+                largest[z] = max(largest.get(z, 0), size)
+            assert largest.keys() == lab._peel_join(store, k, t), (k, t)
+            for z, size, q, y in products:
+                assert canonical.setdefault((size, y, q), size == largest[z]) \
+                    == (size == largest[z]), (k, t, z)
+        rows = {}
+        for (size, y, q), c in canonical.items():
+            rows.setdefault(y, []).append((q, c))
+        for y, row in rows.items():
+            phi = min((q for q, c in row if c), default=math.inf)
+            assert all(c == (q >= phi) for q, c in row), (t, y)
+
+
 def test_a_count_never_holds_its_top_level(monkeypatch):
     with _sharing_levels():
         store = lab._store()
@@ -490,15 +559,16 @@ def test_a_count_never_holds_its_top_level(monkeypatch):
         assert joins == []
     # at n = 9 every t <= 6 holds s^t(S_0) .. s^t(S_7), at t = 1 only
     # the (phi, sigma) of their elements, and the elements themselves up
-    # to s(S_5); t = 7 = n-2 reads the full level, which holds the two
-    # elements of s^7(S_9)
+    # to s(S_5); every t >= n-2 reads s^6(S_7), the identity, and joins
+    # no level of its own
     store = _Store()
     for t in range(1, 7):
         store.count(9, t)
         assert len(store.sets[t]) == (6 if t == 1 else 8), t
     assert len(store.stats) == 8
-    assert store.count(9, 7) == 2
-    assert len(store.sets[7]) == 10 and len(store.sets[7][9]) == 2
+    assert [store.count(9, t) for t in (7, 8, 20)] == [2, 1, 1]
+    assert store.sets.keys() == set(range(1, 7))
+    assert all(len(levels) <= 8 for levels in store.sets.values())
 
 
 SORTED_SIZES = [1, 1, 1, 2, 5, 17, 68, 326, 1780, 11033, 76028, 578290,
