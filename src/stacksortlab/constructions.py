@@ -14,20 +14,23 @@ from typing import Sequence
 
 from .errors import PreconditionError
 from .patterns import find_barred_3241
-from .perm import Perm, del_min, is_standard, standardize, tail_length
+from .perm import Perm, check_permutation, is_standard, tail_length
 
 
 def canonical_preimage(p: Sequence[int]) -> Perm:
     """A permutation sigma with stack_sort(sigma) = p, sigma avoiding the
     barred pattern and having the same left-to-right maxima as p.
 
-    Requires p to avoid the barred pattern and to end in its largest entry.
-    The recursion peels off the minimum entry m0: build sigma' for p with m0
-    deleted, then reinsert m0 -- at the front when p starts with m0,
-    otherwise immediately after b, the leftmost entry of sigma' that sits
-    right of a (= the entry preceding m0 in p) and exceeds a.  Fixing both
-    choices makes the whole map a canonical section of the sorting pass;
-    other valid preimages exist but are never produced.
+    Requires p to avoid the barred pattern and to end in its largest entry;
+    its entries may be any distinct positive integers, and sigma has the
+    same ones.  The recursion peels off the minimum entry m0: build sigma'
+    for p with m0 deleted, then reinsert m0 -- at the front when p starts
+    with m0, otherwise immediately after b, the leftmost entry of sigma'
+    that sits right of a (= the entry preceding m0 in p) and exceeds a.
+    Every step only compares entries, so the recursion runs on p's own
+    entries, with no relabelling.  Fixing both choices makes the
+    whole map a canonical section of the sorting pass; other valid
+    preimages exist but are never produced.
     """
     p = tuple(p)
     if not p:
@@ -40,29 +43,18 @@ def canonical_preimage(p: Sequence[int]) -> Perm:
         raise PreconditionError(
             f"preimage construction needs a barred-pattern avoider; "
             f"occurrence at positions {occ.positions}")
-    if is_standard(p):
-        return _preimage_standard(p)
-    # relabel to [n], construct there, relabel back; every step of the
-    # construction is order-relative, so the two routes agree
-    values = sorted(p)
-    lifted = _preimage_standard(standardize(p))
-    return tuple(values[v - 1] for v in lifted)
-
-
-def _preimage_standard(p: Perm) -> Perm:
-    n = len(p)
-    if n <= 1:
-        return p
-    r = p.index(1)
-    sub = canonical_preimage(del_min(p))
+    check_permutation(p)
+    m0 = min(p)
+    r = p.index(m0)
+    sub = canonical_preimage(p[:r] + p[r + 1:])
     if r == 0:
-        return (1,) + sub
+        return (m0,) + sub
     a = p[r - 1]
     ia = sub.index(a)
     # a is a left-to-right maximum of sub but not its maximum, so some
     # larger entry sits to its right; take the leftmost
     ib = next(j for j in range(ia + 1, len(sub)) if sub[j] > a)
-    return sub[:ib + 1] + (1,) + sub[ib + 1:]
+    return sub[:ib + 1] + (m0,) + sub[ib + 1:]
 
 
 def iterated_lift(p: Sequence[int], t: int | None = None) -> Perm:

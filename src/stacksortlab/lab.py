@@ -56,11 +56,11 @@ one store across every level and factor they ask for: the outermost of
 them opens it and drops it on return.  Any other call builds its own
 store and drops it on return, so no level and no factor outlives the
 call that asked for it.  The relabel, shift, raise and skip tables
-(`_kept_table`, `_kept_tables`, `_up`, `_raise`, `_skips`) and the
-split join's (phi, sigma) rows (`_split_stats`) depend only on sizes,
-so they are per-process constants, never levels: at most 2^(k-1) relabel
-tables for each size k, which `_kept_tables` groups into one tuple per
-(k, |K|, bound on max K), the only way the joins read them;
+(`_kept_tables`, `_up`, `_raise`, `_skips`) and the split join's
+(phi, sigma) rows (`_split_stats`) depend only on sizes, so they are
+per-process constants, never levels: one relabel table for each subset
+K of [k-1], grouped into one tuple per (k, |K|) in max-K order, of
+which every join reads a prefix or a suffix;
 `_raise(v)` moves the entries >= v up by one, for the nested
 insertions (`_skips`) and the avoiders' generating tree alike.  So are
 the Bell numbers (`bell`).  The avoiders of the barred pattern are
@@ -218,22 +218,21 @@ class VerificationReport(NamedTuple):
 
 
 @functools.cache
-def _kept_table(k: int, kept: tuple[int, ...]) -> bytes:
-    """The table sending 1..|kept| onto `kept`, a subset of [k-1], and
-    |kept|+1..k-1 onto the rest of [k-1], fixing every other byte."""
-    return bytes.maketrans(bytes(range(1, k)), bytes(kept) + bytes(
-        v for v in range(1, k) if v not in kept))
+def _kept_tables(k: int, size: int) -> tuple[bytes, ...]:
+    """The table of every K, a subset of [k-1] with |K| = size: it sends
+    1..size onto K and size+1..k-1 onto [k-1] - K, each in increasing
+    order, fixing every other byte.  For size 0 the identity alone, and
+    for size 1 the table of {g} at g-1.
 
-
-@functools.cache
-def _kept_tables(k: int, size: int, top: int) -> tuple[bytes, ...]:
-    """The `_kept_table`s of every K, a subset of [top] with |K| = size:
-    for size 0 the identity alone, and for size 1 the table of {g} at
-    g-1.  Ordered by max K: in `itertools.combinations` order the peel
-    join of s(S_9) measured about 2 % slower."""
-    kept_sets = itertools.combinations(range(1, top + 1), size)
-    return tuple(_kept_table(k, kept)
-                 for kept in sorted(kept_sets, key=lambda kept: kept[-1:]))
+    Ordered by max K, which is what makes both slices the joins take
+    correct: the K within [top] are the first C(top, size) tables
+    (`_peel_join`), and the K with max K - size >= f are the tables from
+    C(f+size-1, size) on (`_split_join`, `_split_stats`)."""
+    rest = range(1, k)
+    kept_sets = sorted(itertools.combinations(rest, size),
+                       key=lambda kept: kept[-1:])
+    return tuple(bytes.maketrans(bytes(rest), bytes(kept) + bytes(
+        v for v in rest if v not in kept)) for kept in kept_sets)
 
 
 @functools.cache
@@ -254,12 +253,12 @@ def _split_stats(k: int, a: int, f: int) -> tuple[tuple[tuple, ...], ...]:
     """The (phi, sigma) of each element `_split_join` forms at size k from
     x in s(S_a) and y in s(S_{k-1-a}) with phi(y) = f: at
     [psi(x)][2 y_1 + sigma(y)], one pair per table of
-    `_kept_tables(k, a, k - 1)` from C(f+a-1, a) on, the K with
+    `_kept_tables(k, a)` from C(f+a-1, a) on, the K with
     max K - a >= f, in that order.  Table K maps a to max K, psi to the
     psi-th smallest value of K and a + y_1 to Y_1; each (phi, sigma)
     pair is one object, so a level holds no pair of its own."""
     pairs = [((v, False), (v, True)) for v in range(k)]
-    tables = _kept_tables(k, a, k - 1)[math.comb(f + a - 1, a):]
+    tables = _kept_tables(k, a)[math.comb(f + a - 1, a):]
     return tuple(
         tuple(tuple(pairs[tb[y1 + a]][s] if tb[a] - a < y1
                     else pairs[tb[psi]][s and tb[a] != k - 1]
@@ -274,13 +273,13 @@ def _split_join(store: _Store, k: int) -> list[bytes]:
     (phi, sigma) of its elements for j <= k-2.
 
     s(L k R) = s(L) s(R) k, so an element is x (y + a) k relabelled by
-    the table of K = L (`_kept_table`), x in s(S_a) and y in
+    the table of K = L (`_kept_tables`), x in s(S_a) and y in
     s(S_{k-1-a}), as in `_peel_join`.  Its canonical split is the one
     with the largest |K| = a in 1..k-2: L empty and L = [k-1] each give
     s(S_{k-1}) k, whose elements such K form again for k >= 3.  A
     product is canonical exactly when max K - a >= phi(y), a threshold
     of the right factor (`_split_pairs`), so the kept tables are a
-    suffix of the max-K-ordered `_kept_tables(k, a, k - 1)`.  So each
+    suffix of the max-K-ordered `_kept_tables(k, a)`.  So each
     phi(y) forms the products of all x and those y once and sends them
     through its suffix of tables in one `list.extend`.  The threshold
     is checked level by level against `_peel_join` (ROADMAP item 3),
@@ -290,7 +289,7 @@ def _split_join(store: _Store, k: int) -> list[bytes]:
     top = bytes([k])
     for a in range(1, k - 1):
         up = _up(a)
-        tables = _kept_tables(k, a, k - 1)
+        tables = _kept_tables(k, a)
         lefts = store.sets[1][a]
         rights: dict[int, list[bytes]] = {}
         for y, (f, _) in zip(store.sets[1][k - 1 - a], store.stats[k - 1 - a]):
@@ -355,12 +354,12 @@ def _peel_join(store: _Store, k: int, t: int,
     the rest of [k-1], with r = |R| and q = max K - |K| the values of the
     rest below max K, which no v may take.  So the join loops over K, not
     over L.  The product for K is the one for [|K|], x (y + |K|) k
-    (`_up`), relabelled by K's table (`_kept_table`), so each size's
+    (`_up`), relabelled by K's table (`_kept_tables`), so each size's
     products are formed once, one block per last rank w of the right
     factor.  The block of rank w lies in U(r, p, q) for every q < w, that
-    is for every K with max K <= w + |K| - 1, so each block goes through
-    the tables of all those K (`_kept_tables`) in one `set.update`; an
-    empty rank list is skipped.
+    is for every K with max K <= w + |K| - 1, the first C(w + |K| - 1, |K|)
+    tables of its size, so each block goes through all of them in one
+    `set.update`; an empty rank list is skipped.
 
     Every L with |L| < t together gives s^t(S_{k-1}) k, and so does
     L = [k-1] (K = [k-1-p], r = 0); the join forms neither.  For
@@ -387,6 +386,7 @@ def _peel_join(store: _Store, k: int, t: int,
         if descents and size > 1:
             lefts = [x for x in lefts if x[0] > x[1]]
         up = _up(size)
+        tables = _kept_tables(k, size)
         for w, ys in enumerate(store.nested(k - 1 - size - p, p)):
             if not ys:
                 continue
@@ -397,7 +397,7 @@ def _peel_join(store: _Store, k: int, t: int,
                     blocks.setdefault(y[0] - 1, []).append(b"\x01" + y)
             else:
                 blocks[0] = [x + y for x in lefts for y in rights]
-            kept = _kept_tables(k, size, w + size - 1)
+            kept = tables[:math.comb(w + size - 1, size)]
             for y1, block in blocks.items():
                 out.update(itertools.starmap(
                     bytes.translate, itertools.product(block, kept[y1:])))
@@ -490,7 +490,7 @@ def _join(levels: list[dict[bytes, int]], k: int) -> dict[bytes, int]:
         products = [(x + y.translate(up) + top, wx * wy)
                     for x, wx in levels[a].items()
                     for y, wy in levels[k - 1 - a].items()]
-        for table in _kept_tables(k, a, k - 1):
+        for table in _kept_tables(k, a):
             for xy, w in products:
                 key = xy.translate(table)
                 out[key] = get(key, 0) + w
@@ -836,12 +836,11 @@ def image_of_iterate(
         return ImageReport(n=n, t=t, count=math.factorial(n),
                            elements=elements, wall_time=time.perf_counter() - start)
     if keep_elements:
-        with _sharing_levels():
-            store = _store()
-            # |s^t(S_n)| <= n!, so only n > KEEP_ALL_MAX_N can be refused
-            if n > KEEP_ALL_MAX_N:
-                _require_keepable(n, t, store.count(n, t))
-            image = store.image(n, t)
+        store = _store()
+        # |s^t(S_n)| <= n!, so only n > KEEP_ALL_MAX_N can be refused
+        if n > KEEP_ALL_MAX_N:
+            _require_keepable(n, t, store.count(n, t))
+        image = store.image(n, t)
         count, elements = len(image), frozenset(tuple(code) for code in image)
     else:
         count, elements = _store().count(n, t), None

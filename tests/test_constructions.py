@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from conftest import perms
 from stacksortlab import (
+    InvalidPermutationError,
     PreconditionError,
     avoids_barred_3241,
     canonical_preimage,
@@ -66,8 +69,9 @@ def _check_preimage(p):
 
 
 def test_preimage_worked_example():
+    # the construction's own choice, which is the named witness below
     p = (5, 2, 7, 1, 4, 8, 3, 6, 9)
-    _check_preimage(p)
+    assert _check_preimage(p) == (5, 7, 2, 8, 1, 4, 9, 3, 6)
 
 
 def test_preimage_accepts_named_witness():
@@ -88,8 +92,27 @@ def test_preimage_base_cases():
 
 
 def test_preimage_on_nonstandard_entries():
-    sigma = _check_preimage((20, 10, 30))
-    assert sorted(sigma) == [10, 20, 30]
+    assert _check_preimage((20, 10, 30)) == (20, 30, 10)
+
+
+def test_preimage_commutes_with_relabelling():
+    # every step compares entries, so relabelling p onto larger values by
+    # an order-preserving f relabels its preimage by the same f: the
+    # postconditions alone would let the choice of sigma drift
+    rng = random.Random(33)
+    checked = 0
+    for n in range(1, 8):
+        for p in perms(n):
+            if p[-1] != n or not avoids_barred_3241(p):
+                continue
+            sigma = canonical_preimage(p)
+            for _ in range(3):
+                f = dict(zip(range(1, n + 1),
+                             sorted(rng.sample(range(n + 1, 4 * n + 9), n))))
+                assert canonical_preimage(tuple(f[v] for v in p)) == \
+                    tuple(f[v] for v in sigma), (p, f)
+            checked += 1
+    assert checked == 1 + 1 + 2 + 5 + 15 + 52 + 203  # B_{n-1}
 
 
 def test_preimage_preconditions():
@@ -97,6 +120,9 @@ def test_preimage_preconditions():
         canonical_preimage((1, 3, 2))  # does not end in its maximum
     with pytest.raises(PreconditionError):
         canonical_preimage((3, 2, 1, 4, 5))  # contains the barred pattern
+    for p in ((2, 2, 3), (0, 5), (1, 3, 3)):  # not distinct positive entries
+        with pytest.raises(InvalidPermutationError):
+            canonical_preimage(p)
 
 
 def test_preimage_postconditions_exhaustive():

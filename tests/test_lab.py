@@ -291,8 +291,8 @@ def test_relabel_tables_are_built_once_per_process(monkeypatch):
     # second call joins its own levels again but builds no table.  Every
     # cached table is cleared, since a warm one skips the calls it makes
     # to the others
-    cached = (lab._kept_table, lab._kept_tables, lab._up, lab._raise,
-              lab._skips, lab._split_stats)
+    cached = (lab._kept_tables, lab._up, lab._raise, lab._skips,
+              lab._split_stats)
     for table in cached:
         table.cache_clear()
 
@@ -304,14 +304,19 @@ def test_relabel_tables_are_built_once_per_process(monkeypatch):
     first = built()
     assert all(first)
     assert built() == first
-    # one table per subset K of [k-1], whatever t or engine asks for it
-    kept = _count_calls(monkeypatch, "_kept_table")
+    # one table per subset K of [k-1], whatever t or engine asks for it:
+    # one tuple per (k, |K|), each built once
+    kept_tables = lab._kept_tables
+    kept_tables.cache_clear()
+    kept = _count_calls(monkeypatch, "_kept_tables")
     for n in range(10):
         for t in range(1, 9):
             image_of_iterate(n, t)
             count_t_stack_sortable(n, t)
-    per_k = Counter(k for k, _ in set(kept))
-    assert per_k and all(per_k[k] <= 2 ** (k - 1) for k in per_k)
+    asked = set(kept)
+    assert kept_tables.cache_info().misses == len(asked) > 0
+    for k, size in asked:
+        assert len(kept_tables(k, size)) == math.comb(k - 1, size)
 
 
 def test_raise_table_fixes_the_bytes_below_v_and_raises_the_rest():
@@ -325,30 +330,38 @@ def test_raise_table_fixes_the_bytes_below_v_and_raises_the_rest():
 
 
 def test_kept_tables_hold_one_table_per_kept_set_of_a_size():
-    # one table per K in [top] with |K| = size, the one `_kept_table`
-    # caches, ordered by max K: 1..size onto K and size+1..k-1 onto
-    # [k-1] - K, each in increasing order, every other byte fixed.  Size 0
-    # is the identity, which the weighted join reads for L empty, and at
-    # size 1 the descent join reads the table of {g} at g-1
+    # one table per K in [k-1] with |K| = size, ordered by max K: 1..size
+    # onto K and size+1..k-1 onto [k-1] - K, each in increasing order,
+    # every other byte fixed.  Size 0 is the identity, which the weighted
+    # join reads for L empty, and at size 1 the descent join reads the
+    # table of {g} at g-1.  The order is what makes the peel join's
+    # prefixes the K in [top] and the split join's suffixes the K with
+    # max K - size >= f
     for k in range(1, 11):
-        for top in range(k):
-            for size in range(top + 1):
-                tables = lab._kept_tables(k, size, top)
-                kept_sets = [tuple(table[1:size + 1]) for table in tables]
-                assert len(set(kept_sets)) == len(tables) == \
-                    math.comb(top, size), (k, size, top)
-                assert [kept[-1:] for kept in kept_sets] == sorted(
-                    kept[-1:] for kept in kept_sets), (k, size, top)
-                for kept, table in zip(kept_sets, tables):
-                    assert list(kept) == sorted(kept), (k, kept)
-                    assert set(kept) <= set(range(1, top + 1)), (k, kept)
-                    assert list(table[size + 1:k]) == [
-                        v for v in range(1, k) if v not in kept], (k, kept)
-                    assert table[0] == 0 and \
-                        table[k:] == bytes(range(k, 256)), (k, kept)
-                    assert table is lab._kept_table(k, kept), (k, kept)
-                if size == 1:
-                    assert kept_sets == [(g,) for g in range(1, top + 1)]
+        for size in range(k):
+            tables = lab._kept_tables(k, size)
+            kept_sets = [tuple(table[1:size + 1]) for table in tables]
+            assert len(set(kept_sets)) == len(tables) == \
+                math.comb(k - 1, size), (k, size)
+            assert [kept[-1:] for kept in kept_sets] == sorted(
+                kept[-1:] for kept in kept_sets), (k, size)
+            for kept, table in zip(kept_sets, tables):
+                assert list(kept) == sorted(kept), (k, kept)
+                assert set(kept) <= set(range(1, k)), (k, kept)
+                assert list(table[size + 1:k]) == [
+                    v for v in range(1, k) if v not in kept], (k, kept)
+                assert table[0] == 0 and \
+                    table[k:] == bytes(range(k, 256)), (k, kept)
+            for top in range(size, k):
+                assert set(kept_sets[:math.comb(top, size)]) == set(
+                    itertools.combinations(range(1, top + 1), size)), \
+                    (k, size, top)
+            for f in range(k + 1 if size else 0):
+                assert kept_sets[math.comb(f + size - 1, size):] == [
+                    kept for kept in kept_sets if kept[-1] - size >= f], \
+                    (k, size, f)
+            if size == 1:
+                assert kept_sets == [(g,) for g in range(1, k)]
 
 
 def test_peel_join_skips_the_split_that_repeats_the_last_level():
@@ -503,6 +516,13 @@ def test_peel_join_needs_no_level_above_k_minus_two():
     assert store.sets.keys() == {1} and store.unions == {}
 
 
+def _kept_table(k, kept):
+    """The table sending 1..|kept| onto `kept`, a subset of [k-1], and
+    |kept|+1..k-1 onto the rest of [k-1], fixing every other byte."""
+    return bytes.maketrans(bytes(range(1, k)), bytes(kept) + bytes(
+        v for v in range(1, k) if v not in kept))
+
+
 def _peel_products(store, k, t):
     """Every product of `_peel_join` at (k, t), t >= 2, as (element, |K|,
     q, y): K in [k-1] with 1 <= |K| <= k-1-t, q = max K - |K|, x in
@@ -514,7 +534,7 @@ def _peel_products(store, k, t):
         lefts = [x[:size] for x in store.image(size + p, t)]
         ranks = store.nested(k - 1 - size - p, p)
         for kept in itertools.combinations(range(1, k), size):
-            table = lab._kept_table(k, kept)
+            table = _kept_table(k, kept)
             q = kept[-1] - size
             for w in range(q + 1, len(ranks)):
                 for y in ranks[w]:
@@ -632,7 +652,7 @@ def test_canonical_splits_are_a_threshold_in_max_kept():
         for a in range(k - 1):
             r = k - 1 - a
             for kept in itertools.combinations(range(1, k), a):
-                table = lab._kept_table(k, kept)
+                table = _kept_table(k, kept)
                 for y, (phi, _) in zip(store.sets[1][r], store.stats[r]):
                     y = y.translate(lab._up(a)) + top
                     for x in store.sets[1][a]:
