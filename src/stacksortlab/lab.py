@@ -46,7 +46,9 @@ holds, so a store holds each s(S_r) once.
 The levels are tiny next to n! (|s(S_9)| = 11033 and |s^2(S_9)| = 1081
 against 362880).  The default bound is n <= 10; 11 and 12 are allowed
 behind an explicit `max_n` with the hard cap at 12.  A kept image holds
-at most `KEEP_ALL_MAX_N`! = 9! elements.
+at most `KEEP_ALL_MAX_N`! = 9! elements.  Every element of s^t(S_n)
+ends in n-t+1..n, so |s^t(S_n)| <= m! with m = n - t, and only a kept
+image with m > `KEEP_ALL_MAX_N` is counted before it is built.
 
 A `_Store` holds both engines' levels and every count factor H(p, r, e)
 it has found, each built at most once and kept until the store is
@@ -103,16 +105,6 @@ def _resolve_bound(max_n: int | None) -> int:
         raise ResourceBoundError(
             f"enumeration bound {bound} exceeds the hard cap {HARD_MAX_N}")
     return bound
-
-
-def _require_keepable(n: int, t: int, count: int) -> None:
-    """Refuse to keep the `count` elements of s^t(S_n) past the budget of
-    KEEP_ALL_MAX_N! elements."""
-    budget = math.factorial(KEEP_ALL_MAX_N)
-    if count > budget:
-        raise ResourceBoundError(
-            f"keeping the {count} elements of s^{t}(S_{n}) is capped at "
-            f"{KEEP_ALL_MAX_N}! = {budget}; the count alone is allowed")
 
 
 def _require_within(n: int, max_n: int | None) -> None:
@@ -525,8 +517,9 @@ class _Store:
     share the store find each once; `cuts[j]` and `tails[j]` are the
     rows P_j and Q_j of the two-pass DP (`cut_counts`); `sortable[t]`
     is the row W_t(0..k) of the split recurrence for t = 1 or t >= 3
-    (`sortable_count`), grown no further than asked; `ends[k]` maps
-    the states of the avoiders in S_k to their numbers (`avoider_ends`).
+    (`sortable_count`), grown no further than asked; `ends[k]` is a
+    list that holds at l the number of avoiders in S_k that end in l,
+    l = 0 for the empty permutation alone (`avoider_ends`).
     """
 
     def __init__(self) -> None:
@@ -543,8 +536,7 @@ class _Store:
         self.cuts: list[list[int]] = [[1]]
         self.tails: list[list[int]] = [[0, 1]]
         self.avoiding: list[list[bytes]] = [[b""]]
-        # the empty permutation ends in a virtual 0 that is a maximum
-        self.ends: list[dict[tuple[int, bool], int]] = [{(0, True): 1}]
+        self.ends: list[list[int]] = [[1]]
 
     def image(self, n: int, t: int) -> set[bytes]:
         """s^t(S_n) for t >= 1.  Past t = n-1 every image is the identity
@@ -577,9 +569,10 @@ class _Store:
         return stats[k]
 
     def count(self, n: int, t: int) -> int:
-        """|s^t(S_n)| for t >= 1.  A held level, and any n <= 2, is the
-        length of the full level; any other count holds no level above
-        n-2.
+        """|s^t(S_n)| for t >= 0.  The 0-fold image is all of S_n, n!
+        elements, and builds nothing.  For t >= 1 a held level, and any
+        n <= 2, is the length of the full level; any other count holds no
+        level above n-2.
 
         At t = 1 the count reads the pairs of the levels up to n-2 only.
         `_split_join` forms each element of s(S_n) once, from x in
@@ -620,6 +613,8 @@ class _Store:
         sigma_1 is T n, the image of (L - {sigma_1}) n R, since
         |L| - 1 = p < t.  The converse inserts g into L the same way.
         """
+        if t == 0:
+            return math.factorial(n)
         if t == 1:
             held = max(self.sets[1], self.stats, key=len)
             if len(held) > n:
@@ -737,20 +732,18 @@ class _Store:
             tails.append([0] + list(itertools.accumulate(row[::-1]))[::-1])
         return rows[j]
 
-    def avoider_ends(self, n: int) -> dict[tuple[int, bool], int]:
-        """The states (last entry l, is l a left-to-right maximum) of the
-        avoiders of the barred pattern in S_n, each mapped to its number
-        of avoiders (`count_avoiders`).  Each row is grown once, from the
-        row below it."""
+    def avoider_ends(self, n: int) -> list[int]:
+        """At l = 0..n, the number of avoiders of the barred pattern in
+        S_n that end in l, with l = 0 for the empty permutation alone
+        (`count_avoiders`).  Each row is grown once, from the row below
+        it, by the child rule of `avoiders`."""
         rows = self.ends
         while len(rows) <= n:
             k = len(rows) - 1
-            row: dict[tuple[int, bool], int] = {}
-            for (last, lr), count in rows[-1].items():
-                for v in range(1, k + 2):
-                    if lr or v > last:
-                        key = (v, v == k + 1)
-                        row[key] = row.get(key, 0) + count
+            row = [0] * (k + 2)
+            for last, count in enumerate(rows[-1]):
+                for v in range(last + 1 if last < k else 1, k + 2):
+                    row[v] += count
             rows.append(row)
         return rows[n]
 
@@ -813,11 +806,14 @@ def image_of_iterate(
     (`_split_join` at t = 1, else `_peel_join`) in the calling process;
     no preimage weight is formed.
     Without `keep_elements` s^t(S_n) is counted, not held
-    (`_Store.count`).  Past t = n-1 the image is the identity alone.
-    Keeping more than `KEEP_ALL_MAX_N`! elements is refused, whatever
-    `max_n` says: all of S_n above n = `KEEP_ALL_MAX_N`, and under the
-    hard cap s(S_11) and s(S_12).  The count decides before any level
-    above n-2 is built.
+    (`_Store.count`, which gives n! at t = 0 and builds nothing).  Past
+    t = n-1 the image is the identity alone.  Keeping more than
+    `KEEP_ALL_MAX_N`! elements is refused, whatever `max_n` says: all of
+    S_n above n = `KEEP_ALL_MAX_N`, and under the hard cap s(S_11) and
+    s(S_12).  Every element ends in n-t+1..n, so the image has at most
+    (n-t)! elements, and only where n - t > `KEEP_ALL_MAX_N` does the
+    count decide, before any level above n-2 is built; a kept 0-fold
+    image is all of S_n, formed directly as tuples.
     `shards` must be >= 1 and is otherwise ignored; ROADMAP item 1
     removes it together with the benchmark plans that pass it.
     """
@@ -826,25 +822,20 @@ def image_of_iterate(
         raise ValueError("t must be nonnegative")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    if t == 0 and keep_elements:
-        _require_keepable(n, t, math.factorial(n))
     start = time.perf_counter()
-    if t == 0:
-        # the 0-fold image is all of S_n; nothing to build for a count
-        elements = (frozenset(itertools.permutations(range(1, n + 1)))
-                    if keep_elements else None)
-        return ImageReport(n=n, t=t, count=math.factorial(n),
-                           elements=elements, wall_time=time.perf_counter() - start)
-    if keep_elements:
-        store = _store()
-        # |s^t(S_n)| <= n!, so only n > KEEP_ALL_MAX_N can be refused
-        if n > KEEP_ALL_MAX_N:
-            _require_keepable(n, t, store.count(n, t))
-        image = store.image(n, t)
-        count, elements = len(image), frozenset(tuple(code) for code in image)
-    else:
-        count, elements = _store().count(n, t), None
-    return ImageReport(n=n, t=t, count=count, elements=elements,
+    store = _store()
+    if not keep_elements:
+        return ImageReport(n=n, t=t, count=store.count(n, t), elements=None,
+                           wall_time=time.perf_counter() - start)
+    # every element of s^t(S_n) ends in n-t+1..n, so |s^t(S_n)| <= (n-t)!
+    budget = math.factorial(KEEP_ALL_MAX_N)
+    if n - t > KEEP_ALL_MAX_N and (count := store.count(n, t)) > budget:
+        raise ResourceBoundError(
+            f"keeping the {count} elements of s^{t}(S_{n}) is capped at "
+            f"{KEEP_ALL_MAX_N}! = {budget}; the count alone is allowed")
+    elements = (frozenset(map(tuple, store.image(n, t))) if t
+                else frozenset(itertools.permutations(range(1, n + 1))))
+    return ImageReport(n=n, t=t, count=len(elements), elements=elements,
                        wall_time=time.perf_counter() - start)
 
 
@@ -871,17 +862,17 @@ def characterize_membership_rule(
         raise ValueError("t must be nonnegative")
     n = len(p)
     m = n - t
-    if m >= 1 and n >= 2 * m - 2:
+    # n >= m, so n = 2m-3 needs m >= 3
+    if m >= 1 and n >= 2 * m - 3:
+        rule = "thm1" if n >= 2 * m - 2 else "thm2-characterized"
         ok = tail_length(p) >= t and descent_tops_are_lr_maxima(p)
-        return ok, "thm1"
-    if m >= 3 and n == 2 * m - 3:
-        if tail_length(p) >= t and descent_tops_are_lr_maxima(p):
-            return True, "thm2-characterized"
+        if ok or rule == "thm1":
+            return ok, rule
         from .constructions import zeta
         # zeta(ell, m) starts with ell, so p can only be zeta(p[0], m)
         if 3 <= p[0] <= m and p == zeta(p[0], m):
             return True, "thm2-zeta"
-        return False, "thm2-characterized"
+        return False, rule
     if t == 0:
         return True, "oracle-fallback"
     if t >= n - 1:
@@ -1030,13 +1021,13 @@ def count_avoiders(n: int, max_n: int | None = None) -> int:
     Every prefix of an avoider, standardized, is an avoider, so each
     avoider of [k+1] is one of [k] with a new last value v in 1..k+1 and
     the entries >= v moved up by one.  The new entry is allowed iff the
-    old last entry l was a left-to-right maximum or v > l, and it is a
-    left-to-right maximum iff v = k+1.  So the count runs over the states
-    (l, is l a left-to-right maximum) in O(n^3) steps, and a shared store
-    keeps each size's states (`_Store.avoider_ends`).
+    old last entry l was a left-to-right maximum, that is l = k, or
+    v > l.  So the count runs over the last entries l alone in O(n^3)
+    steps, and a shared store keeps each size's row of them
+    (`_Store.avoider_ends`).
     """
     _require_within(n, max_n)
-    return sum(_store().avoider_ends(n).values())
+    return sum(_store().avoider_ends(n))
 
 
 def count_t_stack_sortable(n: int, t: int, max_n: int | None = None) -> int:

@@ -698,8 +698,8 @@ def test_sorted_counts_read_no_level_above_n_minus_two(monkeypatch):
 
 def test_no_image_or_count_peels_at_t_one(monkeypatch):
     # one engine for t = 1: the images, counts and claims reach s(S_k)
-    # through the split join alone, and a kept image past the budget
-    # decides from that count, with no descent join
+    # through the split join alone, and a kept s(S_10), which the budget
+    # lets through uncounted, is built with no descent join
     joins = _count_calls(monkeypatch, "_peel_join")
     report = image_of_iterate(10, 1, keep_elements=True, max_n=10)
     assert report.count == len(report.elements) == 76028
@@ -916,6 +916,28 @@ def test_image_bounds():
         image_of_iterate(4, -1)
     with pytest.raises(ValueError):
         image_of_iterate(-1, 1)
+
+
+def test_kept_image_within_the_budget_is_not_counted(monkeypatch):
+    # every element of s^t(S_n) ends in n-t+1..n, so |s^t(S_n)| <= (n-t)!
+    # and a kept image with n - t <= 9 is built without a count
+    def refuse(self, n, t):
+        raise AssertionError(f"counted ({n}, {t})")
+    monkeypatch.setattr(_Store, "count", refuse)
+    for n, t, size in [(9, 0, 362880), (10, 1, 76028), (10, 2, 5718),
+                       (11, 3, 4456), (12, 4, 4186)]:
+        report = image_of_iterate(n, t, keep_elements=True, max_n=12)
+        assert report.count == len(report.elements) == size, (n, t)
+
+
+def test_kept_image_refusals_name_the_count():
+    for n, t, count in [(10, 0, 3628800), (11, 1, 578290),
+                        (12, 1, 4803696)]:
+        with pytest.raises(ResourceBoundError) as refused:
+            image_of_iterate(n, t, keep_elements=True, max_n=12)
+        assert str(refused.value) == (
+            f"keeping the {count} elements of s^{t}(S_{n}) is capped at "
+            f"9! = 362880; the count alone is allowed"), (n, t)
 
 
 def test_image_report_record():
@@ -1325,6 +1347,19 @@ def test_count_avoiders_small():
         assert [count_avoiders(n) for n in range(6, -1, -1)] == [
             203, 52, 15, 5, 2, 1, 1]
         assert len(lab._store().ends) == 7
+
+
+def test_avoider_ends_count_the_avoiders_by_last_entry():
+    # each row of the generating tree against a scan of S_n, entry by
+    # entry; the listed avoiders end the same way
+    store = _Store()
+    for n in range(9):
+        ends = Counter(p[-1] if p else 0 for p in perms(n)
+                       if descent_tops_are_lr_maxima(p))
+        row = store.avoider_ends(n)
+        assert row == [ends[last] for last in range(n + 1)], n
+        assert Counter(q[-1] if q else 0
+                       for q in store.avoiders(n)) == ends, n
 
 
 def test_count_avoiders_matches_scan_and_bell(monkeypatch):
